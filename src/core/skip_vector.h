@@ -55,6 +55,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <iostream>
 #include <iterator>
 #include <utility>
@@ -293,21 +294,12 @@ class SkipVectorMap {
       }
       ctx.drop_all();
     }
-    sync::Backoff backoff;
     InsertState st;
-    for (;;) {
-      bool result = false;
-      if (try_insert(ctx, k, v, height, st, result)) {
-        if (result) approx_size_.fetch_add(1, std::memory_order_relaxed);
-        stats::count(result ? stats::Counter::kInsertNew
-                            : stats::Counter::kInsertDup);
-        return result;
-      }
-      ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    const bool result = insert_retry(ctx, k, v, height, st);
+    if (result) approx_size_.fetch_add(1, std::memory_order_relaxed);
+    stats::count(result ? stats::Counter::kInsertNew
+                        : stats::Counter::kInsertDup);
+    return result;
   }
 
  public:
@@ -972,6 +964,9 @@ class SkipVectorMap {
     std::size_t orphans = 0;
     std::size_t elements = 0;
     double avg_fill = 0.0;  // elements / capacity over non-head nodes
+    // Longest run of consecutive orphans: the most chunks a lateral walk
+    // crosses below one index entry of the layer above.
+    std::size_t max_orphan_run = 0;
   };
   struct Stats {
     std::vector<LayerStats> layers;  // [0] = data layer
@@ -986,11 +981,17 @@ class SkipVectorMap {
       auto& ls = s.layers[l];
       double fill_sum = 0;
       std::size_t fill_n = 0;
+      std::size_t orphan_run = 0;
       for (const NodeBase* n = heads_[l]; n != nullptr;
            n = n->next.load(std::memory_order_relaxed)) {
         ls.nodes++;
         ls.elements += node_size(const_cast<NodeBase*>(n));
-        if (Lock::is_orphan(n->lock.load_relaxed())) ls.orphans++;
+        if (Lock::is_orphan(n->lock.load_relaxed())) {
+          ls.orphans++;
+          ls.max_orphan_run = std::max(ls.max_orphan_run, ++orphan_run);
+        } else {
+          orphan_run = 0;
+        }
         if (!n->is_head) {
           fill_sum += static_cast<double>(
                           node_size(const_cast<NodeBase*>(n))) /
@@ -1058,18 +1059,20 @@ class SkipVectorMap {
     // Pass 2 -- down pointers: each index entry (key, down) targets a
     // non-orphan node linked in the layer below whose minimum key equals the
     // entry key; orphans below have no parent; non-orphan non-head nodes
-    // have exactly one.
+    // have exactly one. Linear: one pointer -> position map per layer.
     for (std::uint32_t l = config_.layer_count; l-- > 1;) {
       std::vector<const NodeBase*> below;
+      std::unordered_map<const NodeBase*, std::size_t> position;
       for (const NodeBase* n = heads_[l - 1]; n != nullptr;
            n = n->next.load(std::memory_order_relaxed)) {
+        position.emplace(n, below.size());
         below.push_back(n);
       }
       std::vector<int> parent_count(below.size(), 0);
       auto index_of_node = [&](const NodeBase* target) -> std::ptrdiff_t {
-        for (std::size_t i = 0; i < below.size(); ++i)
-          if (below[i] == target) return static_cast<std::ptrdiff_t>(i);
-        return -1;
+        const auto it = position.find(target);
+        return it == position.end() ? -1
+                                    : static_cast<std::ptrdiff_t>(it->second);
       };
       for (const NodeBase* n = heads_[l]; n != nullptr;
            n = n->next.load(std::memory_order_relaxed)) {
@@ -1810,6 +1813,10 @@ class SkipVectorMap {
     // Layers [lowest_frozen, height] are frozen by us; kMaxLayers + 1 means
     // "nothing frozen yet".
     std::uint32_t lowest_frozen = Config::kMaxLayers + 1;
+    // Tower promotion (promote_tower): k must already be PRESENT in the
+    // data layer; the write phase moves it, with its current value, to the
+    // head of the split-off chunk instead of inserting it.
+    bool promote = false;
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
     // mut-skip-freeze fired: run the data-layer write with no seqlock at
     // all (checker-teeth testing only; see try_insert).
@@ -1825,6 +1832,21 @@ class SkipVectorMap {
       stats::count(stats::Counter::kThaws);
     }
     st.lowest_frozen = Config::kMaxLayers + 1;
+  }
+
+  // Retry try_insert until it concludes; true iff it changed the map (a
+  // new key for insert, a new tower for promote_tower).
+  bool insert_retry(Ctx& ctx, K k, V v, std::uint32_t height,
+                    InsertState& st) {
+    sync::Backoff backoff;
+    for (;;) {
+      bool result = false;
+      if (try_insert(ctx, k, v, height, st, result)) return result;
+      ctx.drop_all();
+      restarts_.fetch_add(1, std::memory_order_relaxed);
+      stats::count(stats::Counter::kOpRestarts);
+      backoff.pause();
+    }
   }
 
   bool try_insert(Ctx& ctx, K k, V v, std::uint32_t height, InsertState& st,
@@ -1913,12 +1935,16 @@ class SkipVectorMap {
                           InsertState& st, bool& result) {
     // Everything in prevs[0..height] is frozen by us: reads below are
     // stable, and upgrade_frozen cannot fail. This phase never restarts.
-    if (as_data(st.prevs[0])->vec.contains(k)) {
+    // An insert needs k absent; a promotion needs k present (removed since
+    // its commit: nothing to promote) and carries its current value over.
+    const std::optional<V> present = as_data(st.prevs[0])->vec.get(k);
+    if (present.has_value() != st.promote) {
       thaw_all(st, height);
       ctx.drop_all();
       result = false;
       return true;
     }
+    if (st.promote) v = *present;
 
     // The insert commits: reserve its version now (the data chunk is frozen
     // by us, so the reserve-before-mutate ordering holds) and decide once
@@ -1940,6 +1966,11 @@ class SkipVectorMap {
         auto* dn = alloc_split_node<DataNode, V>(as_data(prev)->vec, k,
                                                  2 * ad.target, 0, ad.layout);
         as_data(prev)->vec.steal_greater(k, dn->vec);
+        // A promoted k heads dn instead. k never heads a non-orphan chunk
+        // here: that chunk's index entry would have stopped the descent
+        // (exact), so prev is left a head or an orphan, never an empty
+        // non-orphan.
+        if (st.promote) as_data(prev)->vec.erase(k);
         dn->vec.insert(k, v);
         adapt_apply(prev, ad);
         if (preserve) fold_split(prev, dn, k);
@@ -2534,13 +2565,38 @@ class SkipVectorMap {
     }
   }
 
+  // A fold replaces a chunk's whole chain with re-partitioned copies. The
+  // replaced chain may still be walked by a scan that loaded it before the
+  // fold, so it is not freed directly (pruning's version argument covers
+  // only ONE descending sequence, and a walker on the old chain is outside
+  // the new one): it is retired through the reclaimer, keyed on the chunk
+  // it hung off. Such a scan keeps that chunk hazard-protected (or its
+  // epoch pinned) for the whole visit, so the chain outlives every walker.
+  struct RetiredChain {
+    SkipVectorMap* map;
+    VRecord* head;
+  };
+
+  void retire_chain(NodeBase* n, VRecord* head) {
+    if (head == nullptr) return;
+    auto* rc = new (alloc_.allocate(sizeof(RetiredChain)))
+        RetiredChain{this, head};
+    reclaimer_.thread_ctx().retire(n, &reclaim_chain, rc);
+  }
+
+  static void reclaim_chain(void*, void* p) {
+    auto* rc = static_cast<RetiredChain*>(p);
+    SkipVectorMap* map = rc->map;
+    map->free_chain(rc->head);
+    map->alloc_.deallocate(rc, sizeof(RetiredChain));
+  }
+
   // Split fold: partition `left`'s chain across the new boundary so each
   // side's records describe only its own key sub-range at every retained
-  // version. Filtered copies are PREPENDED to left's old chain (same
-  // version sequence): in-flight walkers on old records stay safe, new
-  // walkers stop in the filtered prefix, and the shadowed tail dies via
-  // pruning or with the node. `sib` is unpublished (or locked), so its
-  // chain is written fresh. Caller holds left's write lock.
+  // version. Both sides get fresh chains of filtered copies (same version
+  // sequence); new walkers read those, and the old chain is retired for
+  // in-flight walkers (retire_chain). `sib` is unpublished (or locked), so
+  // its chain is written fresh. Caller holds left's write lock.
   void fold_split(NodeBase* left, NodeBase* sib, K bound) {
     VRecord* old_head = left->vchain.load(std::memory_order_relaxed);
     if (old_head == nullptr) return;
@@ -2551,7 +2607,7 @@ class SkipVectorMap {
          r = r->next.load(std::memory_order_relaxed)) {
       recs.push_back(r);
     }
-    VRecord* left_chain = old_head;
+    VRecord* left_chain = nullptr;
     VRecord* sib_chain = sib->vchain.load(std::memory_order_relaxed);
     for (auto it = recs.rbegin(); it != recs.rend(); ++it) {  // oldest first
       VRecord* r = *it;
@@ -2578,6 +2634,7 @@ class SkipVectorMap {
     }
     sib->vchain.store(sib_chain, std::memory_order_release);
     left->vchain.store(left_chain, std::memory_order_release);
+    retire_chain(left, old_head);
     maybe_prune(left);
   }
 
@@ -2586,7 +2643,8 @@ class SkipVectorMap {
   // from right's own chain (pre-image pushed here); readers that arrive at
   // left after the merge -- when right is unreachable -- must resolve the
   // union of both histories from left's chain alone, so one union record
-  // per distinct retained version is prepended.
+  // per distinct retained version replaces left's chain (the old one is
+  // retired for in-flight walkers, as in fold_split).
   void fold_merge(NodeBase* left, NodeBase* right) {
     SV_FAULT_POINT(debug::Point::kVersionFold);
     stats::count(stats::Counter::kVersionFolds);
@@ -2613,7 +2671,8 @@ class SkipVectorMap {
       }
       return nullptr;
     };
-    VRecord* chain = left->vchain.load(std::memory_order_relaxed);
+    VRecord* const old_head = left->vchain.load(std::memory_order_relaxed);
+    VRecord* chain = nullptr;
     for (std::uint64_t u : vers) {  // ascending: prepend => descending chain
       VRecord* la = newest_le(lrecs, u);
       VRecord* ra = newest_le(rrecs, u);
@@ -2632,6 +2691,7 @@ class SkipVectorMap {
       chain = rec;
     }
     left->vchain.store(chain, std::memory_order_release);
+    retire_chain(left, old_head);
     maybe_prune(left);
   }
 
@@ -2812,8 +2872,9 @@ class SkipVectorMap {
   // the shared transaction layer (txn/lock_mgr.h, reached through the
   // sv::txn::MapAccess friend). What remains below are the map-side
   // mutation primitives the lock manager drives: apply_chunk_ops (absorb a
-  // locked chunk's sorted op run, splitting at capacity) and the tower
-  // demote used when a batch removes a towered key.
+  // locked chunk's sorted op run, splitting at capacity), the tower promote
+  // run for keys a commit inserted, and the tower demote used when a batch
+  // removes a towered key.
 
   // Apply staged ops [begin, end) (ascending keys) to one locked chunk,
   // splitting at capacity into locked orphan siblings that are appended to
@@ -2891,6 +2952,21 @@ class SkipVectorMap {
     }
     for (NodeBase* piece : pieces) {
       piece->mod_version.store(c, std::memory_order_release);
+    }
+  }
+
+  // Promote key k, already present in the data layer, to a tower of height
+  // h > 0 -- the inverse of demote_tower, giving commit-inserted keys the
+  // same random index entries insert() draws. It is an insert in promote
+  // mode: the same freeze checkpoints, split (k heads a new non-orphan data
+  // chunk), MVCC fold/stamp and sidecar PUBLISH steps. No-op when k has
+  // been removed since or already has a tower. Called with no chunk locks
+  // held.
+  void promote_tower(Ctx& ctx, K k, std::uint32_t h) {
+    InsertState st;
+    st.promote = true;
+    if (insert_retry(ctx, k, V{}, std::min(h, config_.layer_count - 1), st)) {
+      stats::count(stats::Counter::kTowerPromotions);
     }
   }
 

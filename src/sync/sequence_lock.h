@@ -84,6 +84,13 @@ class SequenceLock {
     return word_.load(std::memory_order_relaxed);
   }
 
+  // read_begin() for callers that must never wait: the current word with
+  // the same acquire ordering, returned even when locked -- the caller
+  // checks is_locked() and backs off instead of spinning.
+  Word try_read_begin() const noexcept {
+    return word_.load(std::memory_order_acquire);
+  }
+
   // ---- Writer protocol ----------------------------------------------------
 
   // The paper's "tryUpgrade": atomically move from the speculatively

@@ -9,15 +9,17 @@
 //   - Growing phase: the floor data chunk of every accessed key is
 //     write-locked in ascending key order -- a global acquisition order, so
 //     two passes can never deadlock. The first key descends the tower
-//     (MapAccess::lock_floor_descent); later keys walk laterally from the
-//     last held lock (MapAccess::lock_floor_from), and that walk NEVER
-//     blocks: any locked or frozen word it meets aborts the whole pass.
+//     (MapAccess::lock_floor_descent); later keys peek at the last held
+//     chunk's successor and otherwise descend the index without waiting
+//     (MapAccess::lock_floor_from). Neither step ever blocks: a locked
+//     word (or a frozen data chunk) aborts the whole pass.
 //   - Validation: optimistic reads (Txn's read set) are re-checked against
 //     the locked chunks; a mismatch aborts before anything mutates.
 //   - Commit: ONE commit version is reserved for the whole write set;
 //     pre-images are staged iff snapshots are pinned; each chunk absorbs its
 //     ops; every touched piece is stamped with the commit version; locks
-//     release in reverse order (shrinking phase).
+//     release in reverse order (shrinking phase). Newly inserted keys then
+//     draw random tower heights and are promoted outside the locks.
 //   - Abort: locks release in reverse, nothing was mutated (mutations are
 //     deferred to the commit step), the caller backs off and retries.
 //
@@ -119,71 +121,166 @@ struct MapAccess {
     return true;
   }
 
-  // Lateral no-wait walk from an already-locked chunk to the floor chunk
-  // for a later (larger) key. NEVER blocks: while holding locks, waiting on
-  // another thread's lock (even a read_begin spin) could deadlock two
-  // passes against each other, so any held word aborts. Empty chunks
+  // Outcome of a no-wait lateral walk (walk_floor).
+  enum class Walk : std::uint8_t {
+    kFloor,  // floor found
+    kAbort,  // a held or changing word: abort the pass
+    kFar,    // the floor lies beyond the walk's step budget
+  };
+  static constexpr std::size_t kUnbounded = ~std::size_t{0};
+
+  // A word the walk must not wait on: locked anywhere, or (data layer)
+  // frozen -- a frozen data chunk is about to be locked by its inserter.
+  // Frozen index chunks stay readable, as for every speculative reader.
+  static bool blocked(const Node* n, Word w) noexcept {
+    return Lock::is_locked(w) || (n->layer == 0 && Lock::is_frozen(w));
+  }
+
+  // No-wait lateral walk in one layer, from `start` to k's floor: the
+  // rightmost non-empty node with min <= k (the caller guarantees `start`
+  // qualifies). NEVER blocks: while holding chunk locks, waiting on
+  // another thread's word (even a read_begin spin) could deadlock two
+  // passes against each other, so any blocked word aborts. Empty nodes
   // (demoted or drained, awaiting an orphan merge) hold no floor candidate
   // and are hopped over rather than aborted on: an empty chunk that no
   // descent happens to cross would otherwise wedge every pass whose key
-  // span crosses it. When only empty chunks separate `from` from the first
-  // chunk with min > k, the floor is `from` itself, returned (still locked)
-  // in *out -- the caller must not re-push it.
-  static bool lock_floor_from(Map& m, Ctx& ctx, Node* from, K k, Node** out) {
-    // `best`: rightmost non-empty chunk seen with min <= k. It stays
-    // hazard-protected in slot 2 while the walk probes further; the final
-    // try_upgrade(best_ver) rejects any change since it was examined.
-    Node* best = from;
-    Word best_ver = 0;
-    Node* node = from->next.load(std::memory_order_acquire);
-    if (node == nullptr) {
-      *out = from;  // nothing right of from: it is the floor
-      return true;
-    }
-    int slot = 0;
-    ctx.protect(slot, node);  // linked: from's held lock pins it
-    Word ver = node->lock.load_relaxed();
-    if (Lock::is_locked(ver) || Lock::is_frozen(ver)) return false;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    for (;;) {
-      const std::uint32_t sz = m.node_size(node);
-      if (sz > 0) {
+  // span crosses it.
+  //
+  // `held`: start is write-locked by this pass, so its contents and
+  // successor are pinned and need no validation. Otherwise start_ver is
+  // its observed word and start is hazard-protected in slot 2. The walk
+  // inspects at most `max_steps` nodes right of start and answers kFar
+  // when the floor may lie further. On kFloor, *out / *out_ver name the
+  // floor, hazard-protected in slot 2 unless it is the held start.
+  static Walk walk_floor(Map& m, Ctx& ctx, Node* start, Word start_ver,
+                         bool held, K k, std::size_t max_steps, Node** out,
+                         Word* out_ver) {
+    Node* best = start;
+    Word best_ver = start_ver;
+    Node* node = start;
+    Word ver = start_ver;
+    int slot = -1;  // walking slot protecting `node` (none for start)
+    for (std::size_t steps = 0;;) {
+      const bool pinned = held && node == start;
+      Node* next = node->next.load(std::memory_order_acquire);
+      if (next == nullptr) {
+        // Validate before trusting "node is last" -- an unvalidated read
+        // must not settle the floor.
+        if (!pinned && !node->lock.validate(ver)) return Walk::kAbort;
+        break;
+      }
+      const int nslot = slot == 0 ? 1 : 0;
+      ctx.protect(nslot, next);
+      // Covers the size/min reads of node and the next read: node is
+      // unchanged, so next is its real successor (never the retired
+      // sentinel) and safe to dereference.
+      if (!pinned && !node->lock.validate(ver)) return Walk::kAbort;
+      const Word nver = next->lock.try_read_begin();
+      if (blocked(next, nver)) return Walk::kAbort;
+      // Hand over hand: node still unchanged AFTER nver was read, so next
+      // was linked at nver -- a merge that retires it later must bump it
+      // (a held node pins its successor: the merge would need its lock).
+      if (!pinned && !node->lock.validate(ver)) return Walk::kAbort;
+      if (slot >= 0) ctx.drop(slot);
+      node = next;
+      ver = nver;
+      slot = nslot;
+      ++steps;
+      if (m.node_size(node) > 0) {
         if (k < m.node_min_key(node)) {
           // Validate the basis for stopping before trusting it.
-          if (!node->lock.validate(ver)) return false;
+          if (!node->lock.validate(ver)) return Walk::kAbort;
           break;
         }
         best = node;
         best_ver = ver;
         ctx.protect(2, node);
-        if (!node->lock.validate(ver)) return false;
+        if (!node->lock.validate(ver)) return Walk::kAbort;
       }
-      Node* next = node->next.load(std::memory_order_acquire);
-      if (next == nullptr) {
-        // Validate before trusting "node is last AND its min > k or it
-        // is empty" -- an unvalidated read must not settle the floor.
-        if (!node->lock.validate(ver)) return false;
-        break;  // best (or from) is the floor
-      }
-      const int nslot = m.other_slot(slot);
-      ctx.protect(nslot, next);
-      // Covers the sz/min reads above and the next read: node unchanged,
-      // so next is node's real successor (never the retired sentinel).
-      if (!node->lock.validate(ver)) return false;
-      const Word nver = next->lock.load_relaxed();
-      if (Lock::is_locked(nver) || Lock::is_frozen(nver)) return false;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      ctx.drop(slot);
-      node = next;
-      ver = nver;
-      slot = nslot;
+      if (steps == max_steps) return Walk::kFar;
     }
-    if (best == from) {
-      *out = from;
-      return true;
-    }
-    if (!best->lock.try_upgrade(best_ver)) return false;
     *out = best;
+    *out_ver = best_ver;
+    return Walk::kFloor;
+  }
+
+  // No-wait descent through the index layers for k: returns the data chunk
+  // a lateral walk to k's floor should start from. That is the chunk of
+  // k's layer-1 floor entry when the entry lies right of `held` -- decided
+  // by key, entry key > held's stable minimum (a head's minimum is -inf) --
+  // and `held` itself otherwise, so the walk never starts left of a chunk
+  // this pass holds (it would abort on its own lock on every retry).
+  // Spinning is unsafe here: demote_tower and towered removes hold an
+  // index lock while acquire()-ing the data chunk below it, which may be
+  // one this pass holds -- so a locked index word aborts instead. A
+  // non-held start comes back hazard-protected in slot 2.
+  static bool index_start(Map& m, Ctx& ctx, Node* held, K k, Node** start,
+                          Word* start_ver) {
+    *start = held;
+    *start_ver = 0;
+    Node* node = m.head_;
+    if (node->layer == 0) return true;  // no index layers
+    ctx.protect(2, node);  // heads are immortal, but keep it uniform
+    Word ver = node->lock.try_read_begin();
+    if (blocked(node, ver)) return false;
+    for (;;) {
+      Node* floor = nullptr;
+      Word fver = 0;
+      if (walk_floor(m, ctx, node, ver, /*held=*/false, k, kUnbounded, &floor,
+                     &fver) != Walk::kFloor) {
+        return false;
+      }
+      const auto fle = m.as_index(floor)->vec.find_le(k);
+      Node* const down = fle.found      ? fle.val
+                         : floor->is_head ? floor->head_down
+                                          : nullptr;
+      const bool right_of_held =
+          fle.found && (held->is_head || m.node_min_key(held) < fle.key);
+      // Covers the entry read: a consistent index state routes k to down.
+      if (!floor->lock.validate(fver) || down == nullptr) return false;
+      if (floor->layer == 1 && !right_of_held) return true;  // from held
+      ctx.protect(0, down);  // hand over hand: floor still in slot 2
+      if (!floor->lock.validate(fver)) return false;
+      const Word dver = down->lock.try_read_begin();
+      if (blocked(down, dver)) return false;
+      // Entry still in place after dver was read: down was not yet
+      // orphaned (let alone merged away) at dver.
+      if (!floor->lock.validate(fver)) return false;
+      ctx.protect(2, down);
+      if (down->layer == 0) {
+        *start = down;
+        *start_ver = dver;
+        return true;
+      }
+      node = down;
+      ver = dver;
+    }
+  }
+
+  // Lock the floor chunk for a later (larger) key while `held` -- the
+  // pass's last lock -- is held. A short lateral peek covers keys in the
+  // held chunk's successor; anything further descends the index without
+  // waiting (index_start) and walks only the chunks below k's layer-1
+  // entry, so the cost is O(log n) rather than O(distance), and hot
+  // chunks in between (another table's sequence row, say) are never
+  // touched. Locks stay ascending by key. When the floor is `held` itself
+  // (only empty chunks up to the first min > k) it is returned, still
+  // locked, in *out -- the caller must not re-push it.
+  static bool lock_floor_from(Map& m, Ctx& ctx, Node* held, K k, Node** out) {
+    Node* floor = nullptr;
+    Word ver = 0;
+    Walk w = walk_floor(m, ctx, held, 0, /*held=*/true, k, /*max_steps=*/2,
+                        &floor, &ver);
+    if (w == Walk::kFar) {
+      Node* start = nullptr;
+      Word start_ver = 0;
+      if (!index_start(m, ctx, held, k, &start, &start_ver)) return false;
+      w = walk_floor(m, ctx, start, start_ver, /*held=*/start == held, k,
+                     kUnbounded, &floor, &ver);
+    }
+    if (w != Walk::kFloor) return false;
+    if (floor != held && !floor->lock.try_upgrade(ver)) return false;
+    *out = floor;
     return true;
   }
 
@@ -201,6 +298,10 @@ struct MapAccess {
                       applied, delta);
   }
   static void demote_tower(Map& m, Ctx& ctx, K k) { m.demote_tower(ctx, k); }
+  static std::uint32_t random_height(Map& m) { return m.random_height(); }
+  static void promote_tower(Map& m, Ctx& ctx, K k, std::uint32_t h) {
+    m.promote_tower(ctx, k, h);
+  }
 
   // ---- Bookkeeping -------------------------------------------------------
 
@@ -426,8 +527,33 @@ struct LockMgr {
     }
     locks.release_all();
     ctx.drop_all();
+    promote_inserted(m, ctx, ops, order);
     res.status = PassStatus::kCommitted;
     return res;
+  }
+
+  // Index shape of committed inserts: after the pass commits and its locks
+  // are released, every key it newly inserted draws a random height -- the
+  // distribution insert() uses -- and gets a tower when the draw is > 0.
+  // Without this, key ranges that grow only through commits become one
+  // orphan chain that every descent has to walk. A key counts as newly
+  // inserted when its last op is a put and one of its puts applied.
+  static void promote_inserted(Map& m, Ctx& ctx, const Op* ops,
+                               const std::vector<std::uint32_t>& order) {
+    bool inserted = false;
+    for (std::size_t s = 0; s < order.size(); ++s) {
+      const Op& op = ops[order[s]];
+      const bool put = op.kind == mvcc::BatchOpKind::kPut;
+      inserted = put && (inserted || op.applied);
+      const bool last_of_key =
+          s + 1 == order.size() || op.key < ops[order[s + 1]].key;
+      if (!last_of_key) continue;
+      if (inserted) {
+        const std::uint32_t h = MA::random_height(m);
+        if (h > 0) MA::promote_tower(m, ctx, op.key, h);
+      }
+      inserted = false;
+    }
   }
 
   struct BatchOutcome {

@@ -4,15 +4,27 @@
 // towered-remove demote path, the run() retry helper, and the transaction
 // counters. Concurrency tests pin the serializability story: lost-update
 // freedom for RMW increments and conserved totals for multi-key transfers.
+// Shape tests pin the index that commit-time tower promotion builds over
+// keys inserted only through commits.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "check/history.h"
+#include "check/wgl.h"
 #include "common/rng.h"
+#include "core/adapters.h"
 #include "core/skip_vector.h"
 #include "txn/txn.h"
 
@@ -389,6 +401,235 @@ TEST(TxnSnapshots, PinnedSnapshotInvisibleToLaterTxn) {
     live_sum += v;
   });
   EXPECT_EQ(live_sum, 34u);  // 16 * 2 + 2
+}
+
+// ---- Index shape of committed inserts ----------------------------------------
+
+// Committed inserts draw the same random tower heights insert() does, so a
+// key range that grows only through commits gets an index: about one
+// layer-1 entry per T_D keys, and short orphan runs below each entry.
+constexpr std::uint32_t kShapeTd = 16;
+
+Config ShapeCfg() {
+  Config c;
+  c.layer_count = 5;
+  c.target_data_vector_size = kShapeTd;
+  c.target_index_vector_size = 8;
+  return c;
+}
+
+// Keys [kRangeLo, kRangeLo + n) start absent; bulk-loaded neighbors on both
+// sides make the range an empty gap inside a populated map.
+constexpr std::uint64_t kRangeLo = 1'000'000;
+
+void LoadNeighbors(Map& m) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
+  for (std::uint64_t k = 0; k < 2000; ++k) rows.emplace_back(k, k);
+  for (std::uint64_t k = 0; k < 2000; ++k) {
+    rows.emplace_back(2 * kRangeLo + k, k);
+  }
+  m.bulk_load(rows);
+}
+
+void ExpectCommittedShape(Map& m, std::uint64_t n,
+                          std::size_t layer1_before) {
+  std::string err;
+  ASSERT_TRUE(m.validate(&err)) << err;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(m.lookup(kRangeLo + i), std::optional<std::uint64_t>(i));
+  }
+  const auto st = m.stats();
+  const std::size_t entries = st.layers[1].elements - layer1_before;
+  // Each committed key gets a layer-1 entry with p = 1/T_D, independently:
+  // a binomial count, accepted within 6 standard deviations of its mean
+  // (a false failure has odds below 1e-8). Without commit towers it is 0.
+  const double p = 1.0 / kShapeTd;
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(static_cast<double>(n) * p * (1 - p));
+  EXPECT_NEAR(static_cast<double>(entries), mean, 6 * sd);
+  EXPECT_EQ(counter(m, stats::Counter::kTowerPromotions), entries);
+  // Lateral distance: a key's floor lies at most max_orphan_run data
+  // chunks right of its layer-1 entry. With ascending appends, a run of r
+  // orphans needs about (r + 1) * T_D consecutive untowered keys, odds
+  // ~e^-(r+1) per entry, so over n / T_D entries a run above 20 has odds
+  // below 1e-6. Without commit towers the whole range is one orphan run
+  // of about n / T_D chunks.
+  EXPECT_LE(st.layers[0].max_orphan_run, 20u);
+}
+
+TEST(TxnShape, AscendingTxnCommitsBuildIndex) {
+  Map m(ShapeCfg());
+  LoadNeighbors(m);
+  const std::size_t layer1_before = m.stats().layers[1].elements;
+  constexpr std::uint64_t kN = 4096;
+  for (std::uint64_t i = 0; i < kN; i += 4) {
+    Txn t(m);
+    for (std::uint64_t j = i; j < i + 4; ++j) t.put(kRangeLo + j, j);
+    ASSERT_EQ(t.commit(), TxnResult::kCommitted);
+  }
+  ExpectCommittedShape(m, kN, layer1_before);
+}
+
+TEST(TxnShape, AscendingBatchesBuildIndex) {
+  Map m(ShapeCfg());
+  LoadNeighbors(m);
+  const std::size_t layer1_before = m.stats().layers[1].elements;
+  constexpr std::uint64_t kN = 4096;
+  std::vector<Map::BatchOp> ops;
+  for (std::uint64_t i = 0; i < kN; i += 8) {
+    ops.clear();
+    for (std::uint64_t j = i; j < i + 8; ++j) {
+      ops.push_back(Map::BatchOp::put(kRangeLo + j, j));
+    }
+    ASSERT_EQ(m.apply_batch(ops), 8u);
+  }
+  ExpectCommittedShape(m, kN, layer1_before);
+}
+
+// Committed towers are real towers: removing every committed key through
+// batches must demote them (kNeedDemote -> demote_tower) and leave a valid,
+// empty range.
+TEST(TxnShape, CommittedTowersDemoteOnRemove) {
+  Map m(ShapeCfg());
+  constexpr std::uint64_t kN = 2048;
+  for (std::uint64_t i = 0; i < kN; i += 4) {
+    Txn t(m);
+    for (std::uint64_t j = i; j < i + 4; ++j) t.put(kRangeLo + j, j);
+    ASSERT_EQ(t.commit(), TxnResult::kCommitted);
+  }
+  ASSERT_GT(counter(m, stats::Counter::kTowerPromotions), 0u);
+  std::vector<Map::BatchOp> ops;
+  for (std::uint64_t i = 0; i < kN; i += 8) {
+    ops.clear();
+    for (std::uint64_t j = i; j < i + 8; ++j) {
+      ops.push_back(Map::BatchOp::remove(kRangeLo + j));
+    }
+    ASSERT_EQ(m.apply_batch(ops), 8u);
+  }
+  EXPECT_EQ(m.size_approx(), 0u);
+  EXPECT_EQ(m.stats().layers[1].elements, 0u);
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+}
+
+// ---- Promotions under concurrency -------------------------------------------
+
+// Aborts the process if the guarded scope does not finish in time: a pass
+// livelocking on a chunk it already holds, or deadlocked against a demote,
+// never returns, so no in-test assertion could report it.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> lk(mu_);
+          if (!cv_.wait_for(lk, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: no completion within %llds\n",
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+// Ascending Txn appends (promotions on every commit) race batch removes of
+// possibly-towered committed keys (kNeedDemote -> demote_tower) and pinned
+// snapshot scans over the appenders' tails. The recorded history must be
+// linearizable, every transaction must commit within a bounded number of
+// attempts, and versioned scans must never restart.
+TEST(TxnConcurrent, PromotionsRaceDemotesAndSnapshots) {
+  using RMap = RecordingMap<Map>;
+  constexpr int kAppenders = 2;
+  constexpr std::uint64_t kTxnsPerAppender = 3000;
+  constexpr std::uint64_t kKeysPerTxn = 4;
+  constexpr std::uint64_t kSpan = std::uint64_t{1} << 20;
+  auto key = [](int a, std::uint64_t i) {
+    return kRangeLo + static_cast<std::uint64_t>(a) * kSpan + i;
+  };
+
+  check::HistoryRecorder rec;
+  RMap map(&rec, ShapeCfg());
+  std::atomic<std::uint64_t> appended[kAppenders] = {};
+  std::atomic<int> appenders_left{kAppenders};
+  std::atomic<bool> gave_up{false};
+  {
+    Watchdog watchdog(std::chrono::seconds(120));
+    std::vector<std::thread> ts;
+    for (int a = 0; a < kAppenders; ++a) {
+      ts.emplace_back([&, a] {
+        // A pass that livelocked on its own chunk would exhaust this.
+        const txn::RetryPolicy policy{/*max_attempts=*/100000};
+        for (std::uint64_t n = 0; n < kTxnsPerAppender; ++n) {
+          const std::uint64_t base = n * kKeysPerTxn;
+          const bool committed = map.run_txn(
+              [&](Txn& t) {
+                for (std::uint64_t j = 0; j < kKeysPerTxn; ++j) {
+                  t.put(key(a, base + j), base + j);
+                }
+                return true;
+              },
+              policy);
+          if (!committed) {
+            gave_up.store(true);
+            break;
+          }
+          appended[a].store(base + kKeysPerTxn, std::memory_order_release);
+        }
+        appenders_left.fetch_sub(1);
+      });
+    }
+    ts.emplace_back([&] {  // batch remover of committed keys
+      Xoshiro256 rng(99);
+      std::vector<Map::BatchOp> ops;
+      while (appenders_left.load() > 0) {
+        const int a = static_cast<int>(rng.next_below(kAppenders));
+        const std::uint64_t hi = appended[a].load(std::memory_order_acquire);
+        if (hi == 0) continue;
+        ops.clear();
+        for (int j = 0; j < 3; ++j) {
+          ops.push_back(Map::BatchOp::remove(key(a, rng.next_below(hi))));
+        }
+        map.apply_batch(ops);
+      }
+    });
+    ts.emplace_back([&] {  // pinned snapshot scans over the tails
+      Xoshiro256 rng(7);
+      while (appenders_left.load() > 0) {
+        const int a = static_cast<int>(rng.next_below(kAppenders));
+        const std::uint64_t hi = appended[a].load(std::memory_order_acquire);
+        const std::uint64_t lo = hi > 24 ? hi - 24 : 0;
+        map.snapshot_range(key(a, lo), key(a, hi + 8),
+                           [](std::uint64_t, std::uint64_t) {});
+      }
+    });
+    for (auto& t : ts) t.join();
+  }
+
+  EXPECT_FALSE(gave_up.load());
+  const check::History h = rec.merge();
+  const check::CheckResult res = check::check_history(h);
+  std::stringstream dump;
+  if (!res.ok()) h.dump(dump);
+  ASSERT_TRUE(res.ok()) << res.explanation << "\n" << dump.str();
+  EXPECT_GT(counter(map.inner(), stats::Counter::kTowerPromotions), 0u);
+  EXPECT_GT(counter(map.inner(), stats::Counter::kSnapshotScans), 0u);
+  EXPECT_EQ(counter(map.inner(), stats::Counter::kSnapshotScanRestarts), 0u);
+  std::string err;
+  EXPECT_TRUE(map.validate(&err)) << err;
 }
 
 }  // namespace
