@@ -121,9 +121,19 @@ class FraserSkipList {
               is_marked(node->next_word(0))) {
             return true;  // concurrently removed; stop helping ourselves
           }
-          std::uintptr_t exp = pack(succs[i], false);
-          if (node->next[i].load(std::memory_order_acquire) != exp) {
-            node->next[i].store(exp, std::memory_order_release);
+          // Re-point level i at the new successor by CAS, never a plain
+          // store: a concurrent remove() may mark this word between the
+          // check above and here, and overwriting its mark would leave the
+          // node linked at level i while marked below -- find() would then
+          // use it as a predecessor whose snip CAS can never succeed.
+          const std::uintptr_t exp = pack(succs[i], false);
+          std::uintptr_t cur = node->next[i].load(std::memory_order_acquire);
+          while (cur != exp) {
+            if (is_marked(cur)) return true;  // concurrently removed
+            if (node->next[i].compare_exchange_weak(
+                    cur, exp, std::memory_order_acq_rel)) {
+              break;
+            }
           }
           std::uintptr_t pexp = pack(succs[i], false);
           if (preds[i]->next[i].compare_exchange_strong(

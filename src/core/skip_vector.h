@@ -2957,17 +2957,20 @@ class SkipVectorMap {
 
   // Promote key k, already present in the data layer, to a tower of height
   // h > 0 -- the inverse of demote_tower, giving commit-inserted keys the
-  // same random index entries insert() draws. It is an insert in promote
+  // same random index entries insert() draws, and giving a key whose commit
+  // lost the lock on a shared chunk a chunk of its own (docs/TRANSACTIONS.md,
+  // "Contention splits"). It is an insert in promote
   // mode: the same freeze checkpoints, split (k heads a new non-orphan data
   // chunk), MVCC fold/stamp and sidecar PUBLISH steps. No-op when k has
-  // been removed since or already has a tower. Called with no chunk locks
-  // held.
-  void promote_tower(Ctx& ctx, K k, std::uint32_t h) {
+  // been removed since, already has a tower, or the map has no index layer
+  // (a height-0 "promotion" would insert k a second time). True iff a
+  // tower was built. Called with no chunk locks held.
+  bool promote_tower(Ctx& ctx, K k, std::uint32_t h) {
+    const std::uint32_t height = std::min(h, config_.layer_count - 1);
+    if (height == 0) return false;
     InsertState st;
     st.promote = true;
-    if (insert_retry(ctx, k, V{}, std::min(h, config_.layer_count - 1), st)) {
-      stats::count(stats::Counter::kTowerPromotions);
-    }
+    return insert_retry(ctx, k, V{}, height, st);
   }
 
   // Demote key k's tower: erase k from every index layer and orphan the

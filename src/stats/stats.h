@@ -128,6 +128,7 @@ enum class Counter : std::uint32_t {
   kTxnLockFail,  // NO_WAIT lock-acquisition passes that failed
   kTxnRetries,   // transaction body re-executions by txn::run
   kTowerPromotions,  // towers built for commit-inserted keys (promote_tower)
+  kContentionSplits,  // keys split off a chunk whose lock a commit lost
 
   kCount
 };
@@ -191,6 +192,7 @@ inline constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "txn_lock_fail",
     "txn_retries",
     "tower_promotions",
+    "contention_splits",
 };
 
 inline constexpr std::string_view counter_name(Counter c) noexcept {

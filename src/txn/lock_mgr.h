@@ -21,7 +21,10 @@
 //     release in reverse order (shrinking phase). Newly inserted keys then
 //     draw random tower heights and are promoted outside the locks.
 //   - Abort: locks release in reverse, nothing was mutated (mutations are
-//     deferred to the commit step), the caller backs off and retries.
+//     deferred to the commit step), the caller backs off and retries. When
+//     the lock lost was k's own floor chunk and k shares it with smaller
+//     keys, k is first split off into a chunk of its own (a contention
+//     split, outside the locks), so false sharing does not recur.
 //
 // This header deliberately does NOT include core/skip_vector.h: MapAccess
 // is a friend template of SkipVectorMap (forward-declared there), so the
@@ -103,22 +106,43 @@ struct MapAccess {
     return sz > 0 && k < m.node_min_key(next);
   }
 
+  // Outcome of a no-wait floor lock (lock_floor_descent, lock_floor_from).
+  enum class Acquire : std::uint8_t {
+    kLocked,    // *out is write-locked by the caller
+    kConflict,  // a held or changing word: abort the pass
+    kShared,    // as kConflict, refused by k's floor chunk itself while k
+                // shares it with smaller keys: isolating k may help
+  };
+
+  // Upgrade floor chunk `n` of k, observed at `ver`. On refusal, k's chunk
+  // is "shared" when its minimum, read before the upgrade, is below k. The
+  // read is unvalidated -- a hint: a stale one costs one no-op promotion.
+  static Acquire upgrade_floor(Map& m, Node* n, Word ver, K k) {
+    const bool shared = m.node_size(n) > 0 && m.node_min_key(n) < k;
+    if (n->lock.try_upgrade(ver)) return Acquire::kLocked;
+    return shared ? Acquire::kShared : Acquire::kConflict;
+  }
+
   // Full speculative descent to the data-layer floor chunk for k, then a
   // no-wait write-lock. Used for the pass's first key (no locks held, so
   // blocking reads inside the shared traversal are safe).
-  static bool lock_floor_descent(Map& m, Ctx& ctx, K k, Node** out) {
+  static Acquire lock_floor_descent(Map& m, Ctx& ctx, K k, Node** out) {
     typename Map::Trav t = m.begin_traversal(ctx);
     while (t.node->layer > 0) {
-      if (!m.traverse_right(ctx, t, k, /*mutator=*/false)) return false;
+      if (!m.traverse_right(ctx, t, k, /*mutator=*/false)) {
+        return Acquire::kConflict;
+      }
       Node* down = nullptr;
       bool exact = false;
-      if (!m.index_down(t, k, &down, &exact)) return false;
-      if (!m.exchange_down(ctx, t, down)) return false;
+      if (!m.index_down(t, k, &down, &exact)) return Acquire::kConflict;
+      if (!m.exchange_down(ctx, t, down)) return Acquire::kConflict;
     }
-    if (!m.traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-    if (!t.node->lock.try_upgrade(t.ver)) return false;
-    *out = t.node;
-    return true;
+    if (!m.traverse_right(ctx, t, k, /*mutator=*/false)) {
+      return Acquire::kConflict;
+    }
+    const Acquire a = upgrade_floor(m, t.node, t.ver, k);
+    if (a == Acquire::kLocked) *out = t.node;
+    return a;
   }
 
   // Outcome of a no-wait lateral walk (walk_floor).
@@ -265,8 +289,11 @@ struct MapAccess {
   // chunks in between (another table's sequence row, say) are never
   // touched. Locks stay ascending by key. When the floor is `held` itself
   // (only empty chunks up to the first min > k) it is returned, still
-  // locked, in *out -- the caller must not re-push it.
-  static bool lock_floor_from(Map& m, Ctx& ctx, Node* held, K k, Node** out) {
+  // locked, in *out -- the caller must not re-push it. A walk or descent
+  // that aborts on some word is a plain kConflict: the word may belong to
+  // a chunk in between, and only a refused floor says k's chunk is shared.
+  static Acquire lock_floor_from(Map& m, Ctx& ctx, Node* held, K k,
+                                 Node** out) {
     Node* floor = nullptr;
     Word ver = 0;
     Walk w = walk_floor(m, ctx, held, 0, /*held=*/true, k, /*max_steps=*/2,
@@ -274,14 +301,19 @@ struct MapAccess {
     if (w == Walk::kFar) {
       Node* start = nullptr;
       Word start_ver = 0;
-      if (!index_start(m, ctx, held, k, &start, &start_ver)) return false;
+      if (!index_start(m, ctx, held, k, &start, &start_ver)) {
+        return Acquire::kConflict;
+      }
       w = walk_floor(m, ctx, start, start_ver, /*held=*/start == held, k,
                      kUnbounded, &floor, &ver);
     }
-    if (w != Walk::kFloor) return false;
-    if (floor != held && !floor->lock.try_upgrade(ver)) return false;
+    if (w != Walk::kFloor) return Acquire::kConflict;
+    if (floor != held) {
+      const Acquire a = upgrade_floor(m, floor, ver, k);
+      if (a != Acquire::kLocked) return a;
+    }
     *out = floor;
-    return true;
+    return Acquire::kLocked;
   }
 
   // ---- Commit-path map primitives ----------------------------------------
@@ -299,8 +331,8 @@ struct MapAccess {
   }
   static void demote_tower(Map& m, Ctx& ctx, K k) { m.demote_tower(ctx, k); }
   static std::uint32_t random_height(Map& m) { return m.random_height(); }
-  static void promote_tower(Map& m, Ctx& ctx, K k, std::uint32_t h) {
-    m.promote_tower(ctx, k, h);
+  static bool promote_tower(Map& m, Ctx& ctx, K k, std::uint32_t h) {
+    return m.promote_tower(ctx, k, h);
   }
 
   // ---- Bookkeeping -------------------------------------------------------
@@ -418,6 +450,9 @@ struct LockMgr {
     constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
     std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
     std::vector<std::uint32_t> read_chunk(reads.size());
+    // Set when k's own floor chunk refused its lock while k shared it with
+    // smaller keys (Acquire::kShared).
+    std::optional<K> isolate;
 
     auto fail = [&](PassStatus s) {
       locks.release_all();
@@ -425,6 +460,11 @@ struct LockMgr {
       res.status = s;
       if (s == PassStatus::kLockConflict) {
         stats::count(stats::Counter::kTxnLockFail);
+        // Contention split: k starts its own chunk, so the next pass
+        // locks k without its smaller neighbors (and they without k).
+        if (isolate && MA::promote_tower(m, ctx, *isolate, 1)) {
+          stats::count(stats::Counter::kContentionSplits);
+        }
       }
       return res;
     };
@@ -434,11 +474,14 @@ struct LockMgr {
     auto ensure_locked = [&](K k) -> bool {
       if (!locked.empty() && MA::covers(m, locked.back(), k)) return true;
       Node* chunk = nullptr;
-      const bool ok = locked.empty()
-                          ? MA::lock_floor_descent(m, ctx, k, &chunk)
-                          : MA::lock_floor_from(m, ctx, locked.back(), k,
-                                                &chunk);
-      if (!ok) return false;
+      const auto a = locked.empty()
+                         ? MA::lock_floor_descent(m, ctx, k, &chunk)
+                         : MA::lock_floor_from(m, ctx, locked.back(), k,
+                                               &chunk);
+      if (a != MA::Acquire::kLocked) {
+        if (a == MA::Acquire::kShared) isolate = k;
+        return false;
+      }
       if (locked.empty() || chunk != locked.back()) {
         locks.push(chunk);
         runs.emplace_back(kNoRun, kNoRun);
@@ -550,7 +593,9 @@ struct LockMgr {
       if (!last_of_key) continue;
       if (inserted) {
         const std::uint32_t h = MA::random_height(m);
-        if (h > 0) MA::promote_tower(m, ctx, op.key, h);
+        if (h > 0 && MA::promote_tower(m, ctx, op.key, h)) {
+          stats::count(stats::Counter::kTowerPromotions);
+        }
       }
       inserted = false;
     }

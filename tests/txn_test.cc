@@ -5,7 +5,8 @@
 // counters. Concurrency tests pin the serializability story: lost-update
 // freedom for RMW increments and conserved totals for multi-key transfers.
 // Shape tests pin the index that commit-time tower promotion builds over
-// keys inserted only through commits.
+// keys inserted only through commits; contention tests pin the chunk split
+// that isolates a key whose commit lost the lock on a shared chunk.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,6 +34,7 @@ namespace {
 
 using Map = SkipVector<std::uint64_t, std::uint64_t>;
 using Txn = txn::Txn<Map>;
+using MA = txn::MapAccess<Map>;
 using txn::TxnResult;
 
 Config Tiny() {
@@ -512,7 +514,25 @@ TEST(TxnShape, CommittedTowersDemoteOnRemove) {
   EXPECT_TRUE(m.validate(&err)) << err;
 }
 
-// ---- Promotions under concurrency -------------------------------------------
+// Without index layers there is nothing to promote into: a height-0
+// "promotion" would run insert's plain path and store k a second time.
+TEST(TxnShape, PromoteOnSingleLayerMapIsNoOp) {
+  Map m(Config::for_elements(32));
+  ASSERT_EQ(m.config().layer_count, 1u);
+  for (std::uint64_t k = 0; k < 8; ++k) ASSERT_TRUE(m.insert(k, k * 10));
+  {
+    txn::OpScope<Map> scope(m);
+    EXPECT_FALSE(MA::promote_tower(m, scope.ctx(), 5, 1));
+  }
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+  std::size_t n = 0;
+  m.for_each([&](std::uint64_t, std::uint64_t) { ++n; });
+  EXPECT_EQ(n, 8u);
+  EXPECT_EQ(m.lookup(5), std::optional<std::uint64_t>(50));
+}
+
+// ---- Contention splits ------------------------------------------------------
 
 // Aborts the process if the guarded scope does not finish in time: a pass
 // livelocking on a chunk it already holds, or deadlocked against a demote,
@@ -545,6 +565,209 @@ class Watchdog {
   bool done_ = false;
   std::thread thread_;
 };
+
+Config ContentionCfg() {
+  Config c;
+  c.layer_count = 3;
+  c.target_data_vector_size = 16;
+  c.target_index_vector_size = 8;
+  return c;
+}
+
+// Keys [0, n) with no towers: they all share the data layer's head chunk.
+void LoadSharedChunk(Map& m, std::uint64_t n) {
+  for (std::uint64_t k = 0; k < n; ++k) {
+    ASSERT_TRUE(m.insert_with_height(k, 0, 0));
+  }
+  ASSERT_EQ(m.stats().layers[1].elements, 0u);
+}
+
+// Minimum of k's floor chunk, read under the lock a commit pass takes.
+std::uint64_t FloorMin(Map& m, std::uint64_t k) {
+  txn::OpScope<Map> scope(m);
+  MA::Node* chunk = nullptr;
+  while (MA::lock_floor_descent(m, scope.ctx(), k, &chunk) !=
+         MA::Acquire::kLocked) {
+  }
+  txn::ChunkLockSet<Map> held;
+  held.push(chunk);
+  return MA::min_key(m, chunk);
+}
+
+// Freezes k's floor chunk, as an insert's write phase does (thaw() ends
+// it). A commit's try_upgrade refuses a frozen chunk like a locked one, but
+// its descent does not wait for a frozen word to clear -- a locked one it
+// would -- so the refusal happens at once rather than only in a race.
+// Retries while other threads hold the chunk. Data chunks here are never
+// merged away, so the chunk stays valid once its lock is released.
+MA::Node* FreezeFloor(Map& m, std::uint64_t k) {
+  for (;;) {
+    txn::OpScope<Map> scope(m);
+    MA::Node* chunk = nullptr;
+    if (MA::lock_floor_descent(m, scope.ctx(), k, &chunk) !=
+        MA::Acquire::kLocked) {
+      continue;
+    }
+    chunk->lock.release();
+    if (chunk->lock.try_freeze(chunk->lock.try_read_begin())) return chunk;
+  }
+}
+
+// A commit refused by its key's chunk, which the key shares with smaller
+// keys, splits the key off into a chunk of its own; the next commit on it
+// no longer collides with whoever holds its old neighbors.
+TEST(TxnContention, RefusedSharedChunkSplitsKey) {
+  Map m(ContentionCfg());
+  LoadSharedChunk(m, 8);
+  constexpr std::uint64_t k1 = 2, k2 = 5;
+  // A pass that waited on the frozen chunk instead of failing would never
+  // let the loop below end.
+  Watchdog watchdog(std::chrono::seconds(60));
+
+  MA::Node* frozen = FreezeFloor(m, k1);
+  std::atomic<int> result{-1};
+  std::thread committer([&] {
+    Txn t(m);
+    t.put(k2, 50);
+    result.store(static_cast<int>(t.commit()));
+  });
+  // The pass has failed; its split cannot finish while the chunk is frozen.
+  while (counter(m, stats::Counter::kTxnLockFail) == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(counter(m, stats::Counter::kContentionSplits), 0u);
+  frozen->lock.thaw();
+  committer.join();
+  EXPECT_EQ(result.load(), static_cast<int>(TxnResult::kLockConflict));
+  EXPECT_EQ(counter(m, stats::Counter::kContentionSplits), 1u);
+  EXPECT_EQ(counter(m, stats::Counter::kTowerPromotions), 0u);
+  EXPECT_EQ(m.stats().layers[1].elements, 1u);
+  EXPECT_EQ(FloorMin(m, k2), k2);
+  EXPECT_EQ(FloorMin(m, k2 + 1), k2);  // larger keys moved along with it
+  EXPECT_EQ(FloorMin(m, k1), 0u);       // smaller ones stayed behind
+
+  // k1's chunk frozen again: a commit on k2 now goes straight through.
+  frozen = FreezeFloor(m, k1);
+  Txn t(m);
+  t.put(k2, 51);
+  EXPECT_EQ(t.commit(), TxnResult::kCommitted);
+  frozen->lock.thaw();
+  EXPECT_EQ(counter(m, stats::Counter::kTxnLockFail), 1u);
+  EXPECT_EQ(m.lookup(k2), std::optional<std::uint64_t>(51));
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+}
+
+// A refusal by a chunk k already heads (here the head chunk, whose minimum
+// is k) is a conflict on k's own chunk: no split.
+TEST(TxnContention, RefusalByChunkHeadedByKeyDoesNotSplit) {
+  Map m(ContentionCfg());
+  LoadSharedChunk(m, 8);
+  // A split here would wait forever on the chunk this thread froze.
+  Watchdog watchdog(std::chrono::seconds(60));
+  MA::Node* frozen = FreezeFloor(m, 3);
+  Txn t(m);
+  t.put(0, 1);
+  EXPECT_EQ(t.commit(), TxnResult::kLockConflict);
+  frozen->lock.thaw();
+  EXPECT_EQ(counter(m, stats::Counter::kTxnLockFail), 1u);
+  EXPECT_EQ(counter(m, stats::Counter::kContentionSplits), 0u);
+  EXPECT_EQ(m.stats().layers[1].elements, 0u);
+}
+
+// Four threads increment adjacent counters that start in one chunk, so
+// every lock conflict among them is false sharing. The threads run in
+// rounds. A round starts with one counter's chunk frozen, as by a
+// concurrent insert's write phase, so commits on that chunk lose their
+// lock; a key that shares it with a smaller one is split off. Once keys
+// 1..3 head chunks of their own (key 0 heads the original), a last round
+// runs with nothing frozen and its commits share no lock. A key splits at
+// most once, which bounds the added chunks. Rounds keep the recorded
+// history short: the WGL search is quadratic in the ops per key.
+TEST(TxnContention, AdjacentCountersSplitApart) {
+  using RMap = RecordingMap<Map>;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kSplitsWanted = kThreads - 1;
+  constexpr std::uint64_t kPerRound = 50;  // transactions per thread
+  constexpr std::uint64_t kLate = 1000;    // per thread, after the splits
+  constexpr int kMaxRounds = 200;
+  check::HistoryRecorder rec;
+  RMap map(&rec, ContentionCfg());
+  LoadSharedChunk(map.inner(), kThreads);
+  auto count = [&](stats::Counter c) { return counter(map.inner(), c); };
+
+  std::atomic<int> round{0};  // workers run round r once round >= r
+  std::atomic<std::uint64_t> round_txns{kPerRound};
+  std::atomic<int> finished{0};  // thread-rounds completed
+  std::atomic<bool> stop{false};
+  std::uint64_t done[kThreads] = {};
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kThreads; ++i) {
+    ts.emplace_back([&, i] {
+      const std::uint64_t k = static_cast<std::uint64_t>(i);
+      for (int r = 1;; ++r) {
+        while (round.load() < r && !stop.load()) std::this_thread::yield();
+        if (stop.load()) return;
+        const std::uint64_t n = round_txns.load();
+        for (std::uint64_t j = 0; j < n; ++j) {
+          ASSERT_TRUE(map.run_txn([&](Txn& t) {
+            t.put(k, *t.get(k) + 1);
+            return true;
+          }));
+        }
+        done[i] += n;
+        finished.fetch_add(1);
+      }
+    });
+  }
+  // One round with `frozen` held for its first millisecond (if any);
+  // returns the lock conflicts in the round.
+  int rounds = 0;
+  auto run_round = [&](MA::Node* frozen) {
+    const std::uint64_t fails_before = count(stats::Counter::kTxnLockFail);
+    round.store(++rounds);
+    if (frozen != nullptr) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      frozen->lock.thaw();
+    }
+    while (finished.load() < kThreads * rounds) std::this_thread::yield();
+    return count(stats::Counter::kTxnLockFail) - fails_before;
+  };
+
+  // Round r freezes key (r mod 3) + 1's chunk: every key not yet split
+  // shares a frozen chunk with a smaller key once in three rounds.
+  std::uint64_t early_fails = 0;
+  while (count(stats::Counter::kContentionSplits) < kSplitsWanted &&
+         rounds < kMaxRounds) {
+    early_fails +=
+        run_round(FreezeFloor(map.inner(), 1 + rounds % kSplitsWanted));
+  }
+  const double early = static_cast<double>(early_fails) /
+                       static_cast<double>(kThreads * kPerRound * rounds);
+  round_txns.store(kLate);
+  const double late = static_cast<double>(run_round(nullptr)) /
+                      static_cast<double>(kThreads * kLate);
+  stop.store(true);
+  for (auto& t : ts) t.join();
+
+  EXPECT_LT(rounds, kMaxRounds);
+  EXPECT_EQ(count(stats::Counter::kContentionSplits), kSplitsWanted);
+  EXPECT_EQ(map.inner().stats().layers[1].elements, kSplitsWanted);
+  EXPECT_LT(late, early);
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(map.inner().lookup(static_cast<std::uint64_t>(i)),
+              std::optional<std::uint64_t>(done[i]));
+  }
+  std::string err;
+  EXPECT_TRUE(map.validate(&err)) << err;
+  const check::History h = rec.merge();
+  const check::CheckResult res = check::check_history(h);
+  std::stringstream dump;
+  if (!res.ok()) h.dump(dump);
+  ASSERT_TRUE(res.ok()) << res.explanation << "\n" << dump.str();
+}
+
+// ---- Promotions under concurrency -------------------------------------------
 
 // Ascending Txn appends (promotions on every commit) race batch removes of
 // possibly-towered committed keys (kNeedDemote -> demote_tower) and pinned
