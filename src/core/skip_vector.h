@@ -19,12 +19,6 @@
 //                  node destruction back through this allocator (retire
 //                  carries an owned deleter; see reclaim/deleter.h), so
 //                  reclaimed chunks re-enter the pool.
-//   HashIndex      optional hash sidecar for point operations,
-//                  sv::core::hashidx::{NoIndex, HashChunkIndex}
-//                  (docs/HASH_INDEX.md). NoIndex (default) compiles every
-//                  sidecar call site away; HashChunkIndex consults a
-//                  key -> data-chunk hint table before descending, falling
-//                  back to the tower on any miss or stale hint.
 //
 // Chunk layouts (Fig. 7b) are RUNTIME properties: every VectorMap carries a
 // per-chunk tag (vectormap/layout.h) seeded from Config::index_layout /
@@ -68,7 +62,6 @@
 #include "common/rng.h"
 #include "core/adapt.h"
 #include "core/config.h"
-#include "core/hash_index.h"
 #include "core/mvcc.h"
 #include "debug/audit.h"
 #include "debug/fault_inject.h"
@@ -82,8 +75,7 @@
 namespace sv::core {
 
 template <class K, class V, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator,
-          class HashIndex = hashidx::NoIndex>
+          class Alloc = alloc::MallocNodeAllocator>
 class SkipVectorMap {
   static_assert(std::is_trivially_copyable_v<K> &&
                 std::is_trivially_copyable_v<V>);
@@ -102,12 +94,6 @@ class SkipVectorMap {
   // the map's private navigation/mutation primitives through this friend.
   template <class M>
   friend struct ::sv::txn::MapAccess;
-
-  // Hash sidecar (docs/HASH_INDEX.md). With the default NoIndex policy the
-  // table is an empty member and every `if constexpr (kHashEnabled)` block
-  // below vanishes, so sidecar-off builds are the pre-sidecar map.
-  static constexpr bool kHashEnabled = HashIndex::kEnabled;
-  using HintTable = typename HashIndex::template Table<K>;
 
   // ---- Node layout ---------------------------------------------------------
 
@@ -192,8 +178,7 @@ class SkipVectorMap {
   using key_type = K;
   using mapped_type = V;
 
-  explicit SkipVectorMap(Config config = Config{})
-      : config_(config), hints_(config.hash_index_slots) {
+  explicit SkipVectorMap(Config config = Config{}) : config_(config) {
     config_.validate();
     heads_.resize(config_.layer_count);
     heads_[0] = alloc_node<DataNode, V>(config_.data_capacity(), nullptr, 0,
@@ -237,15 +222,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      std::optional<V> result;
-      if (hash_try_lookup(ctx, k, result)) {
-        ctx.drop_all();
-        stats::count(stats::Counter::kLookupHit);
-        return result;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     for (;;) {
       std::optional<V> result;
@@ -282,18 +258,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      // Duplicate-detection fast path: a validated hit means k is present
-      // and the insert is a no-op. New keys take the full descent (their
-      // hint is published at the insert's write site).
-      std::optional<V> present;
-      if (hash_try_lookup(ctx, k, present)) {
-        ctx.drop_all();
-        stats::count(stats::Counter::kInsertDup);
-        return false;
-      }
-      ctx.drop_all();
-    }
     InsertState st;
     const bool result = insert_retry(ctx, k, v, height, st);
     if (result) approx_size_.fetch_add(1, std::memory_order_relaxed);
@@ -310,15 +274,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      if (hash_try_remove(ctx, k)) {
-        ctx.drop_all();
-        approx_size_.fetch_sub(1, std::memory_order_relaxed);
-        stats::count(stats::Counter::kRemoveHit);
-        return true;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     for (;;) {
       bool result = false;
@@ -342,14 +297,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      if (hash_try_update(ctx, k, v)) {
-        ctx.drop_all();
-        stats::count(stats::Counter::kUpdateHit);
-        return true;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     for (;;) {
       bool result = false;
@@ -522,7 +469,6 @@ class SkipVectorMap {
       h->lock.acquire();  // bump the version: invalidate stale observers
       h->lock.release();
     }
-    if constexpr (kHashEnabled) hints_.reset();  // nodes freed above
     approx_size_.store(0, std::memory_order_relaxed);
   }
 
@@ -1563,19 +1509,6 @@ class SkipVectorMap {
           merge_ver = version_reserve();
           if (snapshots_active()) fold_merge(t.node, next);
         }
-        if constexpr (kHashEnabled) {
-          // INVALIDATE (docs/HASH_INDEX.md): swing every sidecar entry for
-          // the victim's keys to the surviving left chunk BEFORE the drain
-          // empties the victim and BEFORE retire(). Both locks are held, so
-          // no concurrent put() can re-publish `next`. By the FIX invariant
-          // this clears every entry pointing at `next`.
-          if (t.node->layer == 0) {
-            as_data(next)->vec.for_each([&](K vk, V) {
-              hints_.repoint(vk, next, t.node);
-            });
-            stats::count(stats::Counter::kHashRebuilds);
-          }
-        }
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
         // Mutation site (checker-teeth testing only): when fired, unlink the
         // orphan WITHOUT absorbing its elements -- every mapping it held
@@ -1683,126 +1616,7 @@ class SkipVectorMap {
       return false;
     }
     note_read(t.node);
-    if constexpr (kHashEnabled) {
-      // Opportunistic hint repair: a hit that descended means the sidecar
-      // had no (correct) entry for k. PUBLISH requires the chunk's write
-      // lock, so upgrade the validated read section; failure just skips the
-      // repair. The upgrade/release bumps the version -- acceptable, this
-      // path only runs when the hint was already missing or stale.
-      if (result.has_value() && hints_.get(k) != t.node &&
-          t.node->lock.try_upgrade(t.ver)) {
-        hints_.put(k, t.node);
-        t.node->lock.release();
-        stats::count(stats::Counter::kHashRebuilds);
-      } else if (!result.has_value()) {
-        // k proved absent: shed any stale entry so repeated misses stop
-        // paying the wasted probe. Unlocked drop is always safe.
-        if (void* p = hints_.get(k)) hints_.drop(k, p);
-      }
-    }
     ctx.drop_all();
-    return true;
-  }
-
-  // ---- Hash sidecar fast paths (docs/HASH_INDEX.md) ---------------------------
-  //
-  // All of these are advisory accelerations: they either conclude the
-  // operation with a result identical to what the descent would produce
-  // (validated under the candidate chunk's sequence lock, or performed
-  // under its write lock), or they conclude nothing and the caller falls
-  // back to the normal tower descent. They can never produce a wrong
-  // answer, only a wasted probe.
-
-  // PROBE: candidate data chunk for k, hazard-protected (slot 0) and
-  // reconfirmed against the table (the reconfirm is what makes the
-  // protection sound; see hash_index.h). nullptr -> no usable hint.
-  DataNode* hash_probe(Ctx& ctx, K k) {
-    void* raw = hints_.get(k);
-    if (raw == nullptr) return nullptr;
-    ctx.protect(0, raw);
-    if (!hints_.reconfirm(k, raw)) {
-      stats::count(stats::Counter::kHashStale);
-      return nullptr;
-    }
-    return static_cast<DataNode*>(raw);
-  }
-
-  // Validated read of k through the sidecar. Returns true ONLY on a hit
-  // (result engaged); a miss concludes nothing -- the hint proposes one
-  // chunk, and k's absence from it does not prove absence from the map.
-  bool hash_try_lookup(Ctx& ctx, K k, std::optional<V>& result) {
-    DataNode* c = hash_probe(ctx, k);
-    if (c == nullptr) return false;
-    const Word w = c->lock.read_begin();
-    result = c->vec.get(k);
-    if (!result.has_value() || !c->lock.validate(w)) {
-      // A hit that fails validation is indistinguishable from a torn read;
-      // either way the hint did not pay off.
-      if (result.has_value()) {
-        result.reset();
-      } else {
-        stats::count(stats::Counter::kHashStale);
-      }
-      return false;
-    }
-    // c validated while containing k: a merged-away chunk is drained (or
-    // version-bumped) before its locks release, so c is still linked and
-    // this is the same linearization point as try_lookup's final read.
-    stats::count(stats::Counter::kHashHits);
-    return true;
-  }
-
-  // Fast-path remove: erase k directly from the hinted chunk under its
-  // write lock. Falls back (returns false) whenever k might carry a tower:
-  // by the §IV-C invariant every key present in an index layer is the
-  // minimum of a non-orphan, non-head data chunk, so the guard below is
-  // exhaustive -- mirroring try_remove's common-path guard.
-  bool hash_try_remove(Ctx& ctx, K k) {
-    DataNode* c = hash_probe(ctx, k);
-    if (c == nullptr) return false;
-    const Word w = c->lock.read_begin();
-    if (!c->vec.contains(k)) {
-      stats::count(stats::Counter::kHashStale);
-      return false;
-    }
-    if (!c->is_head && !Lock::is_orphan(w) && node_size(c) > 0 &&
-        node_min_key(c) == k) {
-      return false;  // k may have a tower: take the full descent
-    }
-    if (!c->lock.try_upgrade(w)) return false;
-    // Upgrade from w proves the speculative reads above were of the
-    // current state: k is present and is not a towered minimum.
-    const std::uint64_t ver = version_reserve();
-    if (snapshots_active()) push_preimage(c);
-    const bool erased = c->vec.erase(k);
-    assert(erased);
-    if (erased) c->mod_version.store(ver, std::memory_order_release);
-    if (erased) hints_.erase(k, c);  // FIX, under the lock
-    c->lock.release();
-    if (!erased) return false;
-    stats::count(stats::Counter::kHashHits);
-    return true;
-  }
-
-  // Fast-path update: assign in place under the hinted chunk's write lock.
-  // No structural guard needed -- update never changes the key set.
-  bool hash_try_update(Ctx& ctx, K k, V v) {
-    DataNode* c = hash_probe(ctx, k);
-    if (c == nullptr) return false;
-    const Word w = c->lock.read_begin();
-    if (!c->vec.contains(k)) {
-      stats::count(stats::Counter::kHashStale);
-      return false;
-    }
-    if (!c->lock.try_upgrade(w)) return false;
-    const std::uint64_t ver = version_reserve();
-    if (snapshots_active()) push_preimage(c);
-    const bool assigned = c->vec.assign(k, v);
-    assert(assigned);
-    if (assigned) c->mod_version.store(ver, std::memory_order_release);
-    c->lock.release();
-    if (!assigned) return false;
-    stats::count(stats::Counter::kHashHits);
     return true;
   }
 
@@ -1911,10 +1725,12 @@ class SkipVectorMap {
     // with NO seqlock transition, so concurrent readers validate
     // successfully against torn mid-shift states and concurrent writers'
     // upgrades succeed on a chunk being rewritten. Ordinary (height 0)
-    // inserts only, so index layers keep their legitimate freezes.
+    // inserts only, so index layers keep their legitimate freezes. Nothing
+    // is frozen here, so lowest_frozen stays "none": a duplicate-key exit
+    // must not thaw() a word it never froze (the plain store could undo a
+    // concurrent writer's release and leave the chunk locked forever).
     if (height == 0 && SV_FAULT_SHOULD_FAIL(debug::Point::kMutSkipFreeze)) {
       st.prevs[0] = t.node;
-      st.lowest_frozen = 0;
       st.mut_unlocked = true;
       return insert_write_phase(ctx, k, v, height, st, result);
     }
@@ -1991,17 +1807,6 @@ class SkipVectorMap {
                         std::memory_order_relaxed);
       SV_FAULT_POINT(debug::Point::kTowerSplit);  // split built, not published
       prev->next.store(fresh, std::memory_order_release);
-      if constexpr (kHashEnabled) {
-        // PUBLISH: fresh is linked and prev (its left neighbor) is still
-        // write-locked, so fresh cannot be merged away; swing every moved
-        // key's hint (plus k's) to the new chunk.
-        if (layer == 0) {
-          as_data(fresh)->vec.for_each([&](K mk, V) {
-            hints_.put(mk, fresh);
-          });
-          stats::count(stats::Counter::kHashRebuilds);
-        }
-      }
       prev->lock.release();
       tower_splits_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kTowerSplits);
@@ -2115,20 +1920,11 @@ class SkipVectorMap {
                       std::memory_order_relaxed);
       SV_FAULT_POINT(debug::Point::kSplit);  // orphan built, not yet published
       node->next.store(sib, std::memory_order_release);
-      if constexpr (std::is_same_v<NodeType, DataNode> && kHashEnabled) {
-        // PUBLISH: sib is linked and node (its left neighbor) is locked, so
-        // sib cannot be merged away yet; swing the moved keys' hints.
-        sib->vec.for_each([&](K mk, V) { hints_.put(mk, sib); });
-        stats::count(stats::Counter::kHashRebuilds);
-      }
       if (goes_right) return;
     }
     const bool ok = node->vec.insert(k, payload);
     assert(ok);
     (void)ok;
-    if constexpr (std::is_same_v<NodeType, DataNode> && kHashEnabled) {
-      hints_.put(k, node);  // node is write-locked by the caller
-    }
   }
 
   // ---- Remove implementation -------------------------------------------------
@@ -2189,10 +1985,6 @@ class SkipVectorMap {
         t.node->mod_version.store(c, std::memory_order_release);
         note_write(t.node);
       }
-      if constexpr (kHashEnabled) {
-        // FIX: k left this chunk; clear its entry under the lock.
-        if (result) hints_.erase(k, t.node);
-      }
       t.node->lock.release();
       ctx.drop_all();
       return true;
@@ -2223,9 +2015,6 @@ class SkipVectorMap {
     const bool erased = as_data(curr)->vec.erase(k);
     assert(erased);
     if (erased) curr->mod_version.store(c, std::memory_order_release);
-    if constexpr (kHashEnabled) {
-      if (erased) hints_.erase(k, curr);  // FIX, under curr's lock
-    }
     curr->lock.release();
     ctx.drop_all();
     result = true;
@@ -2254,9 +2043,6 @@ class SkipVectorMap {
     if (result) {
       t.node->mod_version.store(c, std::memory_order_release);
       note_write(t.node);
-    }
-    if constexpr (kHashEnabled) {
-      if (result) hints_.put(k, t.node);  // refresh under the lock
     }
     t.node->lock.release();
     ctx.drop_all();
@@ -2896,7 +2682,6 @@ class SkipVectorMap {
       if (op.kind == mvcc::BatchOpKind::kRemove) {
         op.applied = p->vec.erase(op.key);
         if (op.applied) {
-          if constexpr (kHashEnabled) hints_.erase(op.key, p);  // FIX
           note_write(p);
           ++applied;
           --delta;
@@ -2926,11 +2711,6 @@ class SkipVectorMap {
                         std::memory_order_relaxed);
         SV_FAULT_POINT(debug::Point::kSplit);
         p->next.store(sib, std::memory_order_release);
-        if constexpr (kHashEnabled) {
-          // PUBLISH: both p and sib are locked until the batch commits.
-          sib->vec.for_each([&](K mk, V) { hints_.put(mk, sib); });
-          stats::count(stats::Counter::kHashRebuilds);
-        }
         locked.push_back(sib);
         pieces.insert(pieces.begin() + static_cast<std::ptrdiff_t>(pi) + 1,
                       sib);
@@ -2944,7 +2724,6 @@ class SkipVectorMap {
       const bool ok = p->vec.insert(op.key, op.value);
       assert(ok);
       (void)ok;
-      if constexpr (kHashEnabled) hints_.put(op.key, p);  // under the lock
       note_write(p);
       op.applied = true;
       ++applied;
@@ -2961,7 +2740,7 @@ class SkipVectorMap {
   // lost the lock on a shared chunk a chunk of its own (docs/TRANSACTIONS.md,
   // "Contention splits"). It is an insert in promote
   // mode: the same freeze checkpoints, split (k heads a new non-orphan data
-  // chunk), MVCC fold/stamp and sidecar PUBLISH steps. No-op when k has
+  // chunk) and MVCC fold/stamp steps. No-op when k has
   // been removed since, already has a tower, or the map has no index layer
   // (a height-0 "promotion" would insert k a second time). True iff a
   // tower was built. Called with no chunk locks held.
@@ -3032,10 +2811,6 @@ class SkipVectorMap {
   // allocator must be destroyed after it (reverse declaration order).
   Alloc alloc_;
   Reclaimer reclaimer_;
-  // Hash sidecar hint table (empty with NoIndex). Holds no node ownership:
-  // entries are advisory pointers invalidated before the nodes they name
-  // are retired, so destruction order relative to the reclaimer is free.
-  [[no_unique_address]] HintTable hints_;
   std::vector<NodeBase*> heads_;  // per layer, [0] = data
   NodeBase* head_ = nullptr;      // top-layer head (the paper's `head`)
   std::atomic<std::int64_t> approx_size_{0};
@@ -3078,18 +2853,5 @@ using SkipVectorPool =
 template <class K, class V>
 using SkipVectorPoolLeak =
     SkipVectorMap<K, V, reclaim::LeakReclaimer, alloc::PoolNodeAllocator>;
-
-// Hash-sidecar variants (docs/HASH_INDEX.md): SV-HP plus the key -> chunk
-// hint table consulted before descent. The bench suite reports this as
-// SV-HP-Hash.
-template <class K, class V>
-using SkipVectorHash =
-    SkipVectorMap<K, V, reclaim::HazardReclaimer, alloc::MallocNodeAllocator,
-                  hashidx::HashChunkIndex>;
-
-template <class K, class V>
-using SkipVectorHashSeq =
-    SkipVectorMap<K, V, reclaim::ImmediateReclaimer,
-                  alloc::MallocNodeAllocator, hashidx::HashChunkIndex>;
 
 }  // namespace sv::core

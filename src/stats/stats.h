@@ -81,8 +81,8 @@ enum class Counter : std::uint32_t {
 
   // Chunk mechanics (counted inside vectormap/vector_map.h).
   kChunkShiftedSlots,  // element slots moved by sorted-layout insert/erase
-  kSimdSearches,       // chunk searches routed through vector kernels
-  kScalarFallbacks,    // chunk searches that took the scalar atomic path
+  kSimdSearches,       // always 0: chunk search has no vector path
+  kScalarFallbacks,    // chunk searches (every one takes the scalar path)
 
   // Reclamation (counted inside reclaim/).
   kHpScanPasses,   // hazard-pointer scan passes
@@ -110,10 +110,9 @@ enum class Counter : std::uint32_t {
   kBatchAborts,           // apply_batch lock-acquisition passes aborted
   kBatchKeys,             // ops applied by committed batches
 
-  // Hash sidecar (core/hash_index.h; zero unless HashIndex is enabled).
-  kHashHits,      // point ops concluded through a validated hint
-  kHashStale,     // probes that found an entry but could not conclude
-  kHashRebuilds,  // hint publish/repair/repoint events (split/merge/lookup)
+  // Always 0: point ops have no hash index. Kept, with kSimdSearches, for
+  // readers that still report them by name.
+  kHashHits,
 
   // Adaptive chunk tuning (core/adapt.h; zero unless Config::adaptive).
   kLayoutToSorted,    // chunks retagged unsorted -> sorted at a decision
@@ -182,8 +181,6 @@ inline constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "batch_aborts",
     "batch_keys",
     "hash_hits",
-    "hash_stale",
-    "hash_rebuilds",
     "layout_to_sorted",
     "layout_to_unsorted",
     "target_resize",

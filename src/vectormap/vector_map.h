@@ -21,78 +21,28 @@
 // The tag is written only under the node's write lock -- layout conversions
 // happen at split/merge/fold time, where the freeze bit already rewrites the
 // chunk wholesale -- and is loaded (relaxed) once per search inside the
-// seqlock read section. A speculative reader racing a conversion may
-// dispatch the wrong kernel for the bytes it reads; every kernel is bounded
-// by `n` and returns only kNpos or an index < n, so the result is merely
-// wrong, never unsafe, and SequenceLock::validate rejects it before it
+// seqlock read section. A speculative reader racing a conversion may run
+// the wrong layout's search over the bytes it reads; every search is
+// bounded by `n` and returns only kNpos or an index < n, so the result is
+// merely wrong, never unsafe, and SequenceLock::validate rejects it before it
 // escapes -- the same argument that already covers torn element sets.
 //
-// Vectorized speculative reads (kRawScan). When K is uint32_t/uint64_t and
-// std::atomic<K> is layout-identical to K and always lock-free, the search
-// helpers reinterpret the key array as a plain `const K*` and run the
-// sv::simd kernels (src/common/simd.h) over it instead of per-element
-// atomic loads. Why this is sound under the speculation protocol:
-//
-//   * std::atomic<K> with sizeof/alignof equal to K and
-//     is_always_lock_free holds exactly one K object at the same address,
-//     so the reinterpreted loads read the same bytes the relaxed
-//     element loads would.
-//   * The scalar path already uses memory_order_relaxed loads: no
-//     ordering is lost by reading the bytes directly. The required
-//     ordering lives entirely in the sequence lock (acquire fence inside
-//     SequenceLock::validate).
-//   * A racing writer can make the raw scan observe torn *sets* of
-//     elements -- exactly what the relaxed atomic path already tolerates.
-//     Unlike atomic loads, an individual raw load racing a store is
-//     formally a data race in the C++ abstract machine; in practice (and
-//     on every ISA we target) an aligned word load returns some value,
-//     the kernels are bounded and return only kNpos or an index < n, and
-//     SequenceLock::validate rejects every racy read section before a
-//     result escapes. This is the standard seqlock idiom; it is
-//     intentionally *not* visible to ThreadSanitizer as synchronized,
-//     so kRawScan is compiled out under TSan
-//     (tests/simd_test.cc asserts this) and the relaxed atomic-load
-//     scalar path -- always compiled -- is selected instead.
-//
-// sv::stats attribution: every routed chunk search counts kSimdSearches
-// (raw-scan builds) or kScalarFallbacks (TSan / SV_FORCE_SCALAR / exotic
-// key types), so JSON reports show which path a run actually took.
+// sv::stats attribution: every routed chunk search counts
+// kScalarFallbacks, so JSON reports give the number of chunk searches.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/simd.h"
 #include "stats/stats.h"
 #include "vectormap/layout.h"
 
 namespace sv::vectormap {
-
-namespace detail {
-
-// ThreadSanitizer cannot see seqlock-protected raw reads as synchronized;
-// the raw-scan path is compiled out under TSan so its reports stay
-// meaningful (SV_SANITIZE=thread).
-inline constexpr bool kTsanActive =
-#if defined(__SANITIZE_THREAD__)
-    true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-    true;
-#else
-    false;
-#endif
-#else
-    false;
-#endif
-
-}  // namespace detail
 
 template <class K, class V>
 class VectorMap {
@@ -102,16 +52,8 @@ class VectorMap {
                 "read speculatively under sequence locks");
 
  public:
-  // Whether searches scan the key array as raw memory through the sv::simd
-  // kernels (see the memory-model note at the top of this header). False
-  // under TSan, under SV_FORCE_SCALAR (simd::vectorized_v is then false),
-  // and for key types the kernels do not cover -- those builds take the
-  // relaxed atomic-load scalar path below.
-  static constexpr bool kRawScan =
-      !detail::kTsanActive && simd::vectorized_v<K> &&
-      sizeof(std::atomic<K>) == sizeof(K) &&
-      alignof(std::atomic<K>) == alignof(K) &&
-      std::atomic<K>::is_always_lock_free;
+  // Returned by the search helpers when no element qualifies.
+  static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
 
   VectorMap(std::atomic<K>* keys, std::atomic<V>* vals, std::uint32_t capacity,
             Layout layout = Layout::kSorted) noexcept
@@ -125,7 +67,7 @@ class VectorMap {
 
   // The chunk's current layout tag. Safe to load speculatively: the tag
   // only changes under the write lock, and a stale load yields a bounded
-  // wrong-kernel search that seqlock validation rejects.
+  // wrong-layout search that seqlock validation rejects.
   Layout layout() const noexcept {
     return layout_.load(std::memory_order_relaxed);
   }
@@ -412,66 +354,45 @@ class VectorMap {
     vals_[i].store(v, std::memory_order_relaxed);
   }
 
-  // The key array viewed as plain memory; only used when kRawScan proved
-  // the layouts identical (see the header comment for why this is sound
-  // under the speculation protocol).
-  const K* raw_keys() const noexcept {
-    return reinterpret_cast<const K*>(keys_);
-  }
-
-  // One routed chunk search is about to run; attribute it to the compiled
-  // path so JSON reports show what production runs actually take.
+  // One routed chunk search is about to run.
   static void note_search() noexcept {
-    if constexpr (kRawScan) {
-      stats::count(stats::Counter::kSimdSearches);
-    } else {
-      stats::count(stats::Counter::kScalarFallbacks);
-    }
+    stats::count(stats::Counter::kScalarFallbacks);
   }
 
   // ---- Shared search helpers ----------------------------------------------
   // All searches below operate on the first n slots (n already clamped by
-  // size()) and return an index < n, or simd::kNpos for "no qualifying
-  // element". Every public read and mutator lookup routes through these, so
-  // the SIMD dispatch lives in exactly one place per shape. Each helper
-  // loads the layout tag once and branches on it: dispatching on the tag
-  // inside the seqlock read section is safe because a stale tag only
-  // selects the wrong (still bounded) kernel, and validation rejects the
-  // read section.
+  // size()) and return an index < n, or kNpos for "no qualifying
+  // element". Every public read and mutator lookup routes through these.
+  // Each helper loads the layout tag once and branches on it: dispatching
+  // on the tag inside the seqlock read section is safe because a stale tag
+  // only selects the wrong (still bounded) search, and validation rejects
+  // the read section.
 
   // Sorted layout: first index with key > k / >= k.
   std::uint32_t sorted_upper_bound(std::uint32_t n, K k) const noexcept {
-    if constexpr (kRawScan) {
-      return simd::upper_bound(raw_keys(), n, k);
-    } else {
-      std::uint32_t lo = 0, hi = n;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (load_key(mid) <= k) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
+    std::uint32_t lo = 0, hi = n;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (load_key(mid) <= k) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
-      return lo;
     }
+    return lo;
   }
 
   std::uint32_t sorted_lower_bound(std::uint32_t n, K k) const noexcept {
-    if constexpr (kRawScan) {
-      return simd::lower_bound(raw_keys(), n, k);
-    } else {
-      std::uint32_t lo = 0, hi = n;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (load_key(mid) < k) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
+    std::uint32_t lo = 0, hi = n;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (load_key(mid) < k) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
-      return lo;
     }
+    return lo;
   }
 
   // Largest key <= k, layout-aware.
@@ -479,22 +400,18 @@ class VectorMap {
     note_search();
     if (sorted()) {
       const std::uint32_t ub = sorted_upper_bound(n, k);
-      return ub == 0 ? simd::kNpos : ub - 1;
+      return ub == 0 ? kNpos : ub - 1;
     }
-    if constexpr (kRawScan) {
-      return simd::find_le(raw_keys(), n, k);
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (ki <= k && (best == simd::kNpos || ki > best_key)) {
-          best = i;
-          best_key = ki;
-        }
+    std::uint32_t best = kNpos;
+    K best_key{};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K ki = load_key(i);
+      if (ki <= k && (best == kNpos || ki > best_key)) {
+        best = i;
+        best_key = ki;
       }
-      return best;
     }
+    return best;
   }
 
   // Smallest key >= k, layout-aware.
@@ -502,22 +419,18 @@ class VectorMap {
     note_search();
     if (sorted()) {
       const std::uint32_t lb = sorted_lower_bound(n, k);
-      return lb < n ? lb : simd::kNpos;
+      return lb < n ? lb : kNpos;
     }
-    if constexpr (kRawScan) {
-      return simd::find_ge(raw_keys(), n, k);
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (ki >= k && (best == simd::kNpos || ki < best_key)) {
-          best = i;
-          best_key = ki;
-        }
+    std::uint32_t best = kNpos;
+    K best_key{};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K ki = load_key(i);
+      if (ki >= k && (best == kNpos || ki < best_key)) {
+        best = i;
+        best_key = ki;
       }
-      return best;
     }
+    return best;
   }
 
   // Exact match, layout-aware.
@@ -525,67 +438,51 @@ class VectorMap {
     note_search();
     if (sorted()) {
       const std::uint32_t lb = sorted_lower_bound(n, k);
-      return (lb < n && load_key(lb) == k) ? lb : simd::kNpos;
+      return (lb < n && load_key(lb) == k) ? lb : kNpos;
     }
-    if constexpr (kRawScan) {
-      return simd::find_eq(raw_keys(), n, k);
-    } else {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (load_key(i) == k) return i;
-      }
-      return simd::kNpos;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (load_key(i) == k) return i;
     }
+    return kNpos;
   }
 
-  // Index of the smallest / largest key (kNpos when n == 0). kRawScan
-  // implies an unsigned integral K, so the numeric_limits probes below are
-  // well-defined there; other key types take the generic scan.
+  // Index of the smallest / largest key (kNpos when n == 0).
   std::uint32_t search_min(std::uint32_t n) const noexcept {
     if (sorted()) {
-      return n != 0 ? 0 : simd::kNpos;
+      return n != 0 ? 0 : kNpos;
     }
-    if constexpr (kRawScan) {
-      if (n == 0) return simd::kNpos;
-      return simd::find_ge(raw_keys(), n, K{});
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (best == simd::kNpos || ki < best_key) {
-          best = i;
-          best_key = ki;
-        }
+    std::uint32_t best = kNpos;
+    K best_key{};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K ki = load_key(i);
+      if (best == kNpos || ki < best_key) {
+        best = i;
+        best_key = ki;
       }
-      return best;
     }
+    return best;
   }
 
   std::uint32_t search_max(std::uint32_t n) const noexcept {
     if (sorted()) {
-      return n != 0 ? n - 1 : simd::kNpos;
+      return n != 0 ? n - 1 : kNpos;
     }
-    if constexpr (kRawScan) {
-      if (n == 0) return simd::kNpos;
-      return simd::find_le(raw_keys(), n, std::numeric_limits<K>::max());
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (best == simd::kNpos || ki > best_key) {
-          best = i;
-          best_key = ki;
-        }
+    std::uint32_t best = kNpos;
+    K best_key{};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K ki = load_key(i);
+      if (best == kNpos || ki > best_key) {
+        best = i;
+        best_key = ki;
       }
-      return best;
     }
+    return best;
   }
 
   // Index of k, or -1.
   std::int64_t find_index(K k) const noexcept {
     const std::uint32_t i = search_eq(size(), k);
-    return i == simd::kNpos ? -1 : static_cast<std::int64_t>(i);
+    return i == kNpos ? -1 : static_cast<std::int64_t>(i);
   }
 
   // Key such that exactly floor(n/2) elements are <= it (writer context).

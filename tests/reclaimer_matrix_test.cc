@@ -1,7 +1,6 @@
 // Integration stress executed identically across every reclamation policy
 // (hazard pointers, epochs, leak) crossed with both node allocators
-// (malloc passthrough, slab pool) and the hash sidecar (NoIndex,
-// HashChunkIndex; docs/HASH_INDEX.md): the full operation surface -- point
+// (malloc passthrough, slab pool): the full operation surface -- point
 // ops, navigation, range queries -- under concurrent churn, followed by
 // complete structural validation. Typed tests guarantee no combination
 // silently misses coverage. (ImmediateReclaimer is sequential-only; its
@@ -58,12 +57,10 @@ class ThreadLeakGuard {
   [[maybe_unused]] bool active_;
 };
 
-template <class R, class A = alloc::MallocNodeAllocator,
-          class H = hashidx::NoIndex>
+template <class R, class A = alloc::MallocNodeAllocator>
 struct Policy {
   using Reclaimer = R;
   using Alloc = A;
-  using HashIndex = H;
 };
 
 using Policies = testing::Types<
@@ -71,23 +68,14 @@ using Policies = testing::Types<
     Policy<reclaim::LeakReclaimer>,
     Policy<reclaim::HazardReclaimer, alloc::PoolNodeAllocator>,
     Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator>,
-    Policy<reclaim::LeakReclaimer, alloc::PoolNodeAllocator>,
-    // Hash sidecar (docs/HASH_INDEX.md) crossed with each reclaimer family:
-    // the hint-probe protocol leans on hazard slots, epoch pins, or nothing
-    // (leak) respectively, so all three must survive the same stress.
-    Policy<reclaim::HazardReclaimer, alloc::MallocNodeAllocator,
-           hashidx::HashChunkIndex>,
-    Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator,
-           hashidx::HashChunkIndex>,
-    Policy<reclaim::LeakReclaimer, alloc::MallocNodeAllocator,
-           hashidx::HashChunkIndex>>;
+    Policy<reclaim::LeakReclaimer, alloc::PoolNodeAllocator>>;
 
 template <class P>
 class ReclaimerMatrixTest : public testing::Test {
  protected:
   using Map =
       SkipVectorMap<std::uint64_t, std::uint64_t, typename P::Reclaimer,
-                    typename P::Alloc, typename P::HashIndex>;
+                    typename P::Alloc>;
 
   // LeakReclaimer on the malloc passthrough leaks retired nodes by design;
   // exempt only that combination from LeakSanitizer. The pool-backed leak

@@ -1,16 +1,38 @@
 // Unit tests for the VectorMap chunk container: both layouts, boundary
 // conditions, and the structural operations (steal/split/merge) the skip
 // vector builds on. Typed tests run every case against Sorted and Unsorted.
+// The last sections check the chunk searches against std::map oracles: per
+// chunk, under a writer racing speculative readers, and through the whole
+// map under every reclaimer.
 #include "vectormap/vector_map.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/skip_vector.h"
+#include "core/skip_vector_epoch.h"
+#include "sync/sequence_lock.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SV_TEST_ASAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SV_TEST_ASAN 1
+#endif
+#endif
+#if defined(SV_TEST_ASAN)
+#include <sanitizer/lsan_interface.h>
+#endif
 
 namespace sv::vectormap {
 namespace {
@@ -313,6 +335,222 @@ TEST(VectorMapSpeculation, ClampedSizeNeverExceedsCapacity) {
   for (std::uint64_t k = 0; k < 4; ++k) ASSERT_TRUE(c->insert(k, k));
   EXPECT_EQ(c->size(), 4u);
   EXPECT_TRUE(c->full());
+}
+
+// ---- Search parity with a std::map oracle ---------------------------------
+
+template <Layout L>
+void vectormap_oracle_parity() {
+  std::mt19937_64 rng(7);
+  for (const std::uint32_t cap : {1u, 2u, 7u, 64u, 129u, 256u}) {
+    Chunk<L> c(cap);
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    std::uniform_int_distribution<std::uint64_t> dist(0, 3 * cap);
+    while (oracle.size() < cap) {
+      const std::uint64_t k = dist(rng);
+      if (oracle.emplace(k, k * 2 + 1).second) {
+        ASSERT_TRUE(c->insert(k, k * 2 + 1));
+      }
+    }
+    for (std::uint64_t k = 0; k <= 3 * cap + 2; ++k) {
+      const auto fle = c->find_le(k);
+      auto it = oracle.upper_bound(k);
+      if (it == oracle.begin()) {
+        EXPECT_FALSE(fle.found);
+      } else {
+        --it;
+        ASSERT_TRUE(fle.found) << "k=" << k;
+        EXPECT_EQ(fle.key, it->first);
+        EXPECT_EQ(fle.val, it->second);
+      }
+      const auto fge = c->find_ge(k);
+      const auto ge = oracle.lower_bound(k);
+      if (ge == oracle.end()) {
+        EXPECT_FALSE(fge.found);
+      } else {
+        ASSERT_TRUE(fge.found) << "k=" << k;
+        EXPECT_EQ(fge.key, ge->first);
+        EXPECT_EQ(fge.val, ge->second);
+      }
+      const auto got = c->get(k);
+      const auto oit = oracle.find(k);
+      EXPECT_EQ(got.has_value(), oit != oracle.end());
+      if (got && oit != oracle.end()) {
+        EXPECT_EQ(*got, oit->second);
+      }
+    }
+    EXPECT_EQ(c->min_key(), oracle.begin()->first);
+    EXPECT_EQ(c->max_key(), oracle.rbegin()->first);
+    EXPECT_EQ(c->min_entry().val, oracle.begin()->second);
+    EXPECT_EQ(c->max_entry().val, oracle.rbegin()->second);
+    // Erase half and re-check exact lookups.
+    std::vector<std::uint64_t> keys;
+    for (const auto& [k, v] : oracle) keys.push_back(k);
+    for (std::size_t i = 0; i < keys.size(); i += 2) {
+      EXPECT_TRUE(c->erase(keys[i]));
+      oracle.erase(keys[i]);
+    }
+    for (const std::uint64_t k : keys) {
+      EXPECT_EQ(c->contains(k), oracle.count(k) == 1) << "k=" << k;
+    }
+  }
+}
+
+TEST(VectorMapRouting, SortedMatchesOracle) {
+  vectormap_oracle_parity<Layout::kSorted>();
+}
+TEST(VectorMapRouting, UnsortedMatchesOracle) {
+  vectormap_oracle_parity<Layout::kUnsorted>();
+}
+
+// ---- Torn-read convergence --------------------------------------------------
+
+// A writer churns a chunk under its sequence lock while readers run the
+// speculative protocol (read_begin -> find_le/find_ge -> validate). The
+// searches may observe arbitrarily torn states mid-mutation; the property
+// is that validated results are always consistent (key from the maintained
+// universe, val == key * 3, correct side of the probe) and that readers
+// keep making progress (the retry loop converges).
+template <Layout L>
+void torn_read_convergence() {
+  constexpr std::uint32_t kCap = 128;
+  Chunk<L> c(kCap);
+  sync::SequenceLock lock;
+  // Universe: even keys 2..2*kCap; writer inserts/erases them, val = 3*key.
+  for (std::uint64_t k = 2; k <= kCap; k += 2) c->insert(k, k * 3);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> validated{0};
+
+  std::thread writer([&] {
+    std::mt19937_64 rng(11);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint64_t k =
+          2 * (1 + rng() % kCap);  // even keys only, 2..2*kCap
+      lock.acquire();
+      std::uint64_t dummy;
+      if (!c->erase(k, &dummy)) c->insert(k, k * 3);
+      lock.release();
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937_64 rng(100 + r);
+      std::uint64_t mine = 0;
+      while (mine < 3000) {
+        const std::uint64_t probe = rng() % (2 * kCap + 3);
+        const auto w = lock.read_begin();
+        const auto fle = c->find_le(probe);
+        const auto fge = c->find_ge(probe);
+        if (!lock.validate(w)) continue;  // torn: retry (must converge)
+        if (fle.found) {
+          EXPECT_LE(fle.key, probe);
+          EXPECT_EQ(fle.key % 2, 0u);
+          EXPECT_EQ(fle.val, fle.key * 3);
+        }
+        if (fge.found) {
+          EXPECT_GE(fge.key, probe);
+          EXPECT_EQ(fge.key % 2, 0u);
+          EXPECT_EQ(fge.val, fge.key * 3);
+        }
+        ++mine;
+      }
+      validated.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(validated.load(), 2u * 3000u);
+}
+
+TEST(TornReads, SortedConverges) { torn_read_convergence<Layout::kSorted>(); }
+TEST(TornReads, UnsortedConverges) {
+  torn_read_convergence<Layout::kUnsorted>();
+}
+
+// ---- Full-map read parity under every reclaimer -----------------------------
+
+// LeakSanitizer scope guard: the LeakReclaimer map variant below leaks its
+// retired nodes by design, which would otherwise fail the ASan lane. Every
+// other variant stays fully leak-checked.
+class ScopedLeakCheckDisabler {
+ public:
+  explicit ScopedLeakCheckDisabler(bool active) : active_(active) {
+#if defined(SV_TEST_ASAN)
+    if (active_) __lsan_disable();
+#endif
+  }
+  ~ScopedLeakCheckDisabler() {
+#if defined(SV_TEST_ASAN)
+    if (active_) __lsan_enable();
+#endif
+  }
+
+ private:
+  [[maybe_unused]] bool active_;
+};
+
+template <class Map>
+class MapReadParityTest : public testing::Test {};
+using MapTypes =
+    testing::Types<core::SkipVector<std::uint64_t, std::uint64_t>,
+                   core::SkipVectorLeak<std::uint64_t, std::uint64_t>,
+                   core::SkipVectorSeq<std::uint64_t, std::uint64_t>,
+                   core::SkipVectorEpoch<std::uint64_t, std::uint64_t>>;
+TYPED_TEST_SUITE(MapReadParityTest, MapTypes);
+
+// The read path (lookup, floor, ceiling -- every descent plus every chunk
+// search) agrees with std::map under each reclaimer variant.
+TYPED_TEST(MapReadParityTest, ReadPathMatchesOracle) {
+  const ScopedLeakCheckDisabler allow_designed_leaks(
+      std::is_same_v<TypeParam,
+                     core::SkipVectorLeak<std::uint64_t, std::uint64_t>>);
+  TypeParam m(core::Config::for_elements(4096));
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t k = rng() % 8192;
+    if (oracle.emplace(k, k + 1).second) {
+      EXPECT_TRUE(m.insert(k, k + 1));
+    }
+  }
+  for (int i = 0; i < 2048; ++i) {
+    const std::uint64_t k = rng() % 8192;
+    if (oracle.erase(k) != 0) {
+      EXPECT_TRUE(m.remove(k));
+    }
+  }
+  for (std::uint64_t k = 0; k < 8192; k += 3) {
+    const auto got = m.lookup(k);
+    const auto it = oracle.find(k);
+    ASSERT_EQ(got.has_value(), it != oracle.end()) << "k=" << k;
+    if (got) {
+      EXPECT_EQ(*got, it->second);
+    }
+
+    const auto fl = m.floor(k);
+    auto ub = oracle.upper_bound(k);
+    if (ub == oracle.begin()) {
+      EXPECT_FALSE(fl.has_value());
+    } else {
+      --ub;
+      ASSERT_TRUE(fl.has_value()) << "k=" << k;
+      EXPECT_EQ(fl->first, ub->first);
+    }
+
+    const auto ce = m.ceiling(k);
+    const auto lb = oracle.lower_bound(k);
+    if (lb == oracle.end()) {
+      EXPECT_FALSE(ce.has_value());
+    } else {
+      ASSERT_TRUE(ce.has_value()) << "k=" << k;
+      EXPECT_EQ(ce->first, lb->first);
+    }
+  }
 }
 
 }  // namespace
