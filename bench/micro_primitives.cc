@@ -128,6 +128,37 @@ void BM_SkipVectorInsertRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_SkipVectorInsertRemove)->Arg(10)->Arg(14)->Arg(18);
 
+// Disjoint writers on ONE map: each thread inserts and removes keys in its
+// own key range, so threads share no chunk -- only the map object's own
+// words (heads, size count, commit clock, counters, hazard domain). With
+// those words on separate cache lines and no shared-line writes on the
+// point-write path, per-thread time stays flat as threads are added.
+std::unique_ptr<sv::core::SkipVector<std::uint64_t, std::uint64_t>>
+    g_disjoint_map;
+
+void BM_SkipVectorDisjointWriters(benchmark::State& state) {
+  constexpr std::uint64_t kSpan = 1u << 14;  // keys per thread
+  const auto t = static_cast<std::uint64_t>(state.thread_index());
+  if (t == 0) {
+    const auto n = kSpan * static_cast<std::uint64_t>(state.threads());
+    g_disjoint_map =
+        std::make_unique<sv::core::SkipVector<std::uint64_t, std::uint64_t>>(
+            sv::core::Config::for_elements(n / 2));
+    for (std::uint64_t k = 0; k < n; k += 2) g_disjoint_map->insert(k, k);
+  }
+  Xoshiro256 rng(t + 11);
+  const std::uint64_t base = t * kSpan;
+  for (auto _ : state) {  // the loop start and end are thread barriers
+    const std::uint64_t k = base + (rng.next_below(kSpan) | 1);  // odd: absent
+    benchmark::DoNotOptimize(g_disjoint_map->insert(k, k));
+    benchmark::DoNotOptimize(g_disjoint_map->remove(k));
+  }
+  if (t == 0) g_disjoint_map.reset();
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_SkipVectorDisjointWriters)
+    ->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
 // ---- Node allocator churn (src/alloc/) --------------------------------------
 //
 // The isolated alloc/free path the map's split/merge machinery pays: keep a

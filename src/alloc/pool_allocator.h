@@ -6,7 +6,8 @@
 // on the mutation path and scatters successor chunks across the heap --
 // exactly the locality the structure exists to exploit. The pool instead:
 //
-//   * reserves large cache-line-aligned ARENAS (2 MiB, optionally
+//   * reserves large cache-line-aligned ARENAS (2 MiB; with
+//     PoolOptions::huge_pages, 2 MiB-aligned whole multiples of 2 MiB,
 //     madvise(MADV_HUGEPAGE)d so the kernel can back them with THPs),
 //   * carves per-size-class SLABS of node blocks from the arenas, so nodes
 //     of the same shape are densely co-located,
@@ -39,6 +40,7 @@
 #include <mutex>
 #include <new>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -59,7 +61,10 @@ struct PoolOptions {
   std::size_t slab_bytes = 16u << 10;
   // Blocks cached per (thread, size class); overflow flushes half.
   std::uint32_t magazine_capacity = 32;
-  // madvise(MADV_HUGEPAGE) each arena (Linux only; no-op elsewhere). Off by
+  // Align each arena to 2 MiB, round its size up to a multiple of 2 MiB and
+  // madvise(MADV_HUGEPAGE) it (the madvise is Linux only), so every 2 MiB of
+  // an arena is one huge-page-sized, huge-page-aligned range the kernel can
+  // back with a THP. Whether it does depends on the host's THP mode. Off by
   // default: THP backing changes fault timing, which benchmarks should opt
   // into knowingly (docs/TUNING.md).
   bool huge_pages = false;
@@ -78,6 +83,9 @@ class PoolNodeAllocator {
   static constexpr std::size_t kPow2Classes = 6;  // 8K 16K 32K 64K 128K 256K
   static constexpr std::size_t kClassCount = kLinearClasses + kPow2Classes;
   static constexpr std::size_t kMaxClassBytes = 256u << 10;
+  // x86-64 huge page size: arena alignment and size granule under
+  // PoolOptions::huge_pages.
+  static constexpr std::size_t kHugePageBytes = 2u << 20;
 
   explicit PoolNodeAllocator(PoolOptions opt = {}) : opt_(opt) {
     if (opt_.magazine_capacity < 2) opt_.magazine_capacity = 2;
@@ -97,7 +105,7 @@ class PoolNodeAllocator {
       ::operator delete(p, std::align_val_t{kCacheLineSize});
     }
     for (const Arena& a : arenas_) {
-      ::operator delete(a.base, std::align_val_t{kCacheLineSize});
+      ::operator delete(a.base, std::align_val_t{a.align});
     }
     ThreadCache* tc = caches_.load(std::memory_order_acquire);
     while (tc != nullptr) {
@@ -171,6 +179,14 @@ class PoolNodeAllocator {
   }
 
   const PoolOptions& options() const noexcept { return opt_; }
+
+  // (base, bytes) of every arena reserved so far (tests).
+  std::vector<std::pair<const void*, std::size_t>> arena_spans() {
+    std::lock_guard<std::mutex> lk(mu_);
+    std::vector<std::pair<const void*, std::size_t>> out;
+    for (const Arena& a : arenas_) out.emplace_back(a.base, a.size);
+    return out;
+  }
 
   // ---- Size classes (exposed for tests) -------------------------------------
 
@@ -260,6 +276,7 @@ class PoolNodeAllocator {
     char* base = nullptr;
     std::size_t used = 0;
     std::size_t size = 0;
+    std::size_t align = kCacheLineSize;
   };
 
   void refill(int cls, Magazine& mag) {
@@ -308,14 +325,17 @@ class PoolNodeAllocator {
     std::size_t size = opt_.arena_bytes;
     if (size < min_bytes) size = min_bytes;  // jumbo class: size the arena up
     Arena a;
-    a.base = static_cast<char*>(
-        ::operator new(size, std::align_val_t{kCacheLineSize}));
+    if (opt_.huge_pages) {
+      // A THP can only back an aligned 2 MiB range that lies wholly inside
+      // the advised region; a merely cache-line-aligned 2 MiB arena
+      // contains none.
+      a.align = kHugePageBytes;
+      size = (size + kHugePageBytes - 1) / kHugePageBytes * kHugePageBytes;
+    }
+    a.base = static_cast<char*>(::operator new(size, std::align_val_t{a.align}));
     a.size = size;
 #if defined(__linux__)
-    if (opt_.huge_pages) {
-      // Advisory only: alignment of the interior pages is up to the kernel.
-      (void)madvise(a.base, size, MADV_HUGEPAGE);
-    }
+    if (opt_.huge_pages) (void)madvise(a.base, size, MADV_HUGEPAGE);
 #endif
     arenas_.push_back(a);
     arena_bytes_.fetch_add(size, std::memory_order_relaxed);

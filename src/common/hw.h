@@ -16,6 +16,27 @@ namespace sv {
 // interference_size because GCC warns that its value is ABI-fragile.
 inline constexpr std::size_t kCacheLineSize = 64;
 
+// The address range of one shared word. Components list theirs as
+// read-mostly or hot-written so that tests can check the two groups share
+// no cache line: a write to a line invalidates every other core's copy of
+// it, including the copies held only to read its other words.
+struct WordSpan {
+  const void* addr;
+  std::size_t bytes;
+};
+
+// True when some cache line holds bytes of both `a` and `b`.
+inline bool shares_line(const WordSpan& a, const WordSpan& b) noexcept {
+  const auto first = [](const WordSpan& w) {
+    return reinterpret_cast<std::uintptr_t>(w.addr) / kCacheLineSize;
+  };
+  const auto last = [](const WordSpan& w) {
+    return (reinterpret_cast<std::uintptr_t>(w.addr) + w.bytes - 1) /
+           kCacheLineSize;
+  };
+  return first(a) <= last(b) && first(b) <= last(a);
+}
+
 // Pause hint for spin loops.
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)

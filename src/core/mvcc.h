@@ -1,12 +1,13 @@
 // Multiversioning support types for SkipVectorMap (docs/SNAPSHOTS.md).
 //
 // Jiffy-style per-chunk versioning (PAPERS.md, arXiv:2102.01044) adapted to
-// the skip vector's fat-chunk layout: a single global commit version is
-// bumped by every committed mutation, each data chunk remembers the commit
-// version at which its current contents became valid (`mod_version`), and --
-// only while a snapshot is registered -- writers push immutable pre-image
-// records onto a short per-chunk version chain before overwriting the live
-// state. Snapshot readers pinned at version v resolve each chunk either from
+// the skip vector's fat-chunk layout: a single global commit version, which
+// committed mutations bump only while a snapshot is registered (otherwise
+// they stamp its current value; SkipVectorMap::version_reserve argues why
+// that is sound), each data chunk remembers the commit version at which its
+// current contents became valid (`mod_version`), and -- only while a
+// snapshot is registered -- writers push immutable pre-image records onto a
+// short per-chunk version chain before overwriting the live state. Snapshot readers pinned at version v resolve each chunk either from
 // its live state (mod_version <= v, one speculative read) or from the newest
 // chain record with version <= v, and therefore never restart against
 // writers.
@@ -105,16 +106,24 @@ struct VersionRecord {
 // Fixed array of pinned read versions. A slot holds pinned_version + 1 (0 =
 // free). The claim/commit-read protocol (all seq_cst) guarantees that any
 // writer whose commit version c exceeds a reader's pinned v observes the
-// reader's slot before deciding whether to preserve a pre-image:
+// reader's slot before deciding whether to preserve a pre-image. Writers
+// hold the write locks of the chunks they stamp throughout:
 //
-//   reader:  active++ ; slot := floor+1 ; v := load(commit_version)
-//   writer:  c := ++commit_version ; if (active != 0) push pre-image
+//   reader:  active++ ; slot := floor+1 ; v := load(commit_version) ; fence
+//   writer:  n := load(commit_version) ; if (active == 0) c := n, no
+//            pre-images ; else c := ++commit_version ;
+//            if (active != 0) push pre-image
 //
-// If c > v, the reader's load of commit_version missed the writer's RMW, so
-// in the seq_cst total order the load -- and everything sequenced before it,
-// including the slot store and the active increment -- precedes the RMW,
-// which precedes the writer's registry check. A full registry is reported to
-// the caller, which falls back to the locked (non-versioned) snapshot path.
+// Bump path: if c > v, the reader's load of commit_version missed the
+// writer's RMW, so in the seq_cst total order the load -- and everything
+// sequenced before it, including the slot store and the active increment
+// -- precedes the RMW, which precedes the writer's registry check.
+// Unregistered path: the writer's `active == 0` load precedes the reader's
+// increment, so its clock load precedes the reader's and c <= v: the
+// commit belongs to the view, and the reader, which sees the writer's
+// locks (seq_cst acquisition, reader fence), reads it from live state once
+// they are released. A full registry is reported to the caller, which falls
+// back to the locked (non-versioned) snapshot path.
 class SnapshotRegistry {
  public:
   static constexpr std::size_t kSlots = 64;
@@ -184,7 +193,7 @@ class SnapshotRegistry {
   }
 
   // Number of registered snapshots (including claims in flight). Writers
-  // skip all pre-image work when this is 0.
+  // neither bump the commit clock nor do any pre-image work when this is 0.
   std::uint32_t active() const noexcept {
     return active_.load(std::memory_order_seq_cst);
   }

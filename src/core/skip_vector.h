@@ -60,6 +60,7 @@
 #include "alloc/pool_allocator.h"
 #include "common/hw.h"
 #include "common/rng.h"
+#include "common/striped_counter.h"
 #include "core/adapt.h"
 #include "core/config.h"
 #include "core/mvcc.h"
@@ -260,7 +261,7 @@ class SkipVectorMap {
     OpGuard op_scope(ctx);
     InsertState st;
     const bool result = insert_retry(ctx, k, v, height, st);
-    if (result) approx_size_.fetch_add(1, std::memory_order_relaxed);
+    if (result) approx_size_.add(1);
     stats::count(result ? stats::Counter::kInsertNew
                         : stats::Counter::kInsertDup);
     return result;
@@ -278,7 +279,7 @@ class SkipVectorMap {
     for (;;) {
       bool result = false;
       if (try_remove(ctx, k, result)) {
-        if (result) approx_size_.fetch_sub(1, std::memory_order_relaxed);
+        if (result) approx_size_.add(-1);
         stats::count(result ? stats::Counter::kRemoveHit
                             : stats::Counter::kRemoveMiss);
         return result;
@@ -464,12 +465,13 @@ class SkipVectorMap {
       } else {
         as_data(h)->vec.clear();
         free_chain(h->vchain.exchange(nullptr, std::memory_order_relaxed));
-        h->mod_version.store(version_reserve(), std::memory_order_relaxed);
+        h->mod_version.store(version_reserve().version,
+                             std::memory_order_relaxed);
       }
       h->lock.acquire();  // bump the version: invalidate stale observers
       h->lock.release();
     }
-    approx_size_.store(0, std::memory_order_relaxed);
+    approx_size_.reset(0);
   }
 
   // Quiescent forward iteration in ascending key order (STL interop).
@@ -591,7 +593,10 @@ class SkipVectorMap {
 
   // Pin the current commit version. The claim-then-load order makes the
   // registration visible to every writer whose commit exceeds the pinned
-  // version (see mvcc::SnapshotRegistry).
+  // version (see mvcc::SnapshotRegistry). The closing fence orders this
+  // view's later chunk reads after the registration, so a writer that
+  // stamped without bumping because it missed the registration is seen
+  // holding its locks, never half-way (version_reserve).
   SnapshotView snapshot_at() {
     SnapshotView view;
     view.map_ = this;
@@ -600,6 +605,7 @@ class SkipVectorMap {
     if (view.slot_ < 0) return view;  // registry full: unversioned fallback
     view.version_ = commit_version_.load(std::memory_order_seq_cst);
     snaps_.refine(view.slot_, view.version_);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     return view;
   }
 
@@ -674,9 +680,7 @@ class SkipVectorMap {
     const auto out =
         txn::LockMgr<SkipVectorMap>::run_batch(*this, ctx, ops.data(),
                                                ops.size());
-    if (out.delta != 0) {
-      approx_size_.fetch_add(out.delta, std::memory_order_relaxed);
-    }
+    if (out.delta != 0) approx_size_.add(out.delta);
     stats::count(stats::Counter::kBatchCommits);
     if (out.applied > 0) {
       stats::count(stats::Counter::kBatchKeys, out.applied);
@@ -774,8 +778,7 @@ class SkipVectorMap {
       }
       entries.swap(next_entries);
     }
-    approx_size_.store(static_cast<std::int64_t>(sorted.size()),
-                       std::memory_order_relaxed);
+    approx_size_.reset(static_cast<std::int64_t>(sorted.size()));
   }
 
   // ---- Serialization (quiescent) ----------------------------------------------
@@ -865,10 +868,10 @@ class SkipVectorMap {
 
   // ---- Introspection (quiescent unless stated) ------------------------------
 
-  // Approximate element count (maintained with relaxed counters; exact when
-  // quiescent).
+  // Approximate element count (the sum of per-thread striped counts; exact
+  // when quiescent).
   std::size_t size_approx() const noexcept {
-    const auto s = approx_size_.load(std::memory_order_relaxed);
+    const auto s = approx_size_.sum();
     return s < 0 ? 0 : static_cast<std::size_t>(s);
   }
 
@@ -895,6 +898,28 @@ class SkipVectorMap {
             orphan_merges_.load(std::memory_order_relaxed),
             capacity_splits_.load(std::memory_order_relaxed),
             tower_splits_.load(std::memory_order_relaxed)};
+  }
+
+  // Address ranges of the map's read-mostly words (every operation reads
+  // them) and of the shared words that hot paths write. Tests check that
+  // the two sets share no cache line (see the member layout below).
+  void shared_words(std::vector<WordSpan>& read_mostly,
+                    std::vector<WordSpan>& written) const {
+    read_mostly.push_back({&config_, sizeof(config_)});
+    read_mostly.push_back({&heads_, sizeof(heads_)});
+    read_mostly.push_back({&head_, sizeof(head_)});
+    read_mostly.push_back({&stats_, sizeof(stats_)});
+    written.push_back({&alloc_, sizeof(alloc_)});
+    written.push_back(approx_size_.span());
+    written.push_back({&restarts_, sizeof(restarts_)});
+    written.push_back({&orphan_merges_, sizeof(orphan_merges_)});
+    written.push_back({&capacity_splits_, sizeof(capacity_splits_)});
+    written.push_back({&tower_splits_, sizeof(tower_splits_)});
+    written.push_back({&commit_version_, sizeof(commit_version_)});
+    written.push_back({&snaps_, sizeof(snaps_)});
+    if constexpr (std::is_same_v<Reclaimer, reclaim::HazardReclaimer>) {
+      reclaimer_.domain().shared_words(read_mostly, written);
+    }
   }
 
   // Per-instance event counter registry (src/stats/stats.h). Every public
@@ -1506,8 +1531,9 @@ class SkipVectorMap {
         // the chains, not the post-merge live contents.
         std::uint64_t merge_ver = 0;
         if (t.node->layer == 0) {
-          merge_ver = version_reserve();
-          if (snapshots_active()) fold_merge(t.node, next);
+          const auto [c, preserve] = version_reserve();
+          merge_ver = c;
+          if (preserve) fold_merge(t.node, next, c);
         }
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
         // Mutation site (checker-teeth testing only): when fired, unlink the
@@ -1761,22 +1787,54 @@ class SkipVectorMap {
       return true;
     }
     if (st.promote) v = *present;
+#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
+    if (st.mut_unlocked) {
+      // mut-skip-freeze (see try_insert): replay the split's element
+      // migration with NO lock transition at all. The chunk's upper half
+      // is erased, invisible for the duration of the nested point
+      // (pyield@/pdelay@mut-skip-freeze widen the window), then restored
+      // -- concurrent readers validate successfully against precisely the
+      // intermediate state the freeze protocol exists to hide. Everything
+      // is an in-place atomic slot write: no next-pointer edits, no
+      // allocation, no retirement, so the injected bug is purely a
+      // linearizability violation, never a memory-safety one.
+      auto* dn = as_data(st.prevs[0]);
+      std::vector<std::pair<K, V>> all;
+      dn->vec.for_each([&](K dk, V dv) { all.emplace_back(dk, dv); });
+      std::sort(all.begin(), all.end());
+      std::vector<std::pair<K, V>> hidden(all.begin() + (all.size() + 1) / 2,
+                                          all.end());
+      for (const auto& [hk, hv] : hidden) dn->vec.erase(hk);
+      SV_FAULT_POINT(debug::Point::kMutSkipFreeze);
+      for (const auto& [hk, hv] : hidden) dn->vec.insert(hk, hv);
+      dn->vec.insert(k, v);  // best effort: a full chunk drops the insert
+      st.lowest_frozen = Config::kMaxLayers + 1;
+      st.mut_unlocked = false;
+      ctx.drop_all();
+      result = true;
+      return true;
+    }
+#endif
 
-    // The insert commits: reserve its version now (the data chunk is frozen
-    // by us, so the reserve-before-mutate ordering holds) and decide once
-    // whether pre-images must be preserved for registered snapshots.
-    const std::uint64_t c = version_reserve();
-    const bool preserve = snapshots_active();
+    // The insert commits. Write-lock the data chunk first, then reserve the
+    // version: a frozen chunk is still readable, so a snapshot pinned after
+    // a reserve taken under a mere freeze could read the chunk both without
+    // k (now) and with k stamped at or below its pin (after the release).
+    // Holding the write lock makes such a reader wait for the release
+    // instead (version_reserve's soundness argument).
+    SV_FAULT_POINT(debug::Point::kInsertCommit);  // frozen, not yet locked
+    st.prevs[0]->lock.upgrade_frozen();
+    const auto [c, preserve] = version_reserve();
 
     // Build new nodes bottom-up for layers [0, height), each containing k
     // plus every element of prevs[layer] greater than k (Listing 3 32-39).
     NodeBase* below = nullptr;
     for (std::uint32_t layer = 0; layer < height; ++layer) {
       NodeBase* prev = st.prevs[layer];
-      prev->lock.upgrade_frozen();
+      if (layer > 0) prev->lock.upgrade_frozen();  // layer 0: locked above
       NodeBase* fresh;
       if (layer == 0) {
-        if (preserve) push_preimage(prev);
+        if (preserve) push_preimage(prev, c);
         note_write(prev);
         const adapt::Decision ad = adapt_decide(prev);
         auto* dn = alloc_split_node<DataNode, V>(as_data(prev)->vec, k,
@@ -1816,40 +1874,12 @@ class SkipVectorMap {
     // At the chosen height, k joins an existing chunk (lines 40-42),
     // splitting it at capacity first (creating an orphan, Fig. 3d).
     NodeBase* prev = st.prevs[height];
-#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
-    if (st.mut_unlocked) {
-      // mut-skip-freeze (see try_insert): replay the split's element
-      // migration with NO lock transition at all. The chunk's upper half
-      // is erased, invisible for the duration of the nested point
-      // (pyield@/pdelay@mut-skip-freeze widen the window), then restored
-      // -- concurrent readers validate successfully against precisely the
-      // intermediate state the freeze protocol exists to hide. Everything
-      // is an in-place atomic slot write: no next-pointer edits, no
-      // allocation, no retirement, so the injected bug is purely a
-      // linearizability violation, never a memory-safety one.
-      auto* dn = as_data(prev);
-      std::vector<std::pair<K, V>> all;
-      dn->vec.for_each([&](K dk, V dv) { all.emplace_back(dk, dv); });
-      std::sort(all.begin(), all.end());
-      std::vector<std::pair<K, V>> hidden(all.begin() + (all.size() + 1) / 2,
-                                          all.end());
-      for (const auto& [hk, hv] : hidden) dn->vec.erase(hk);
-      SV_FAULT_POINT(debug::Point::kMutSkipFreeze);
-      for (const auto& [hk, hv] : hidden) dn->vec.insert(hk, hv);
-      dn->vec.insert(k, v);  // best effort: a full chunk drops the insert
-      st.lowest_frozen = Config::kMaxLayers + 1;
-      st.mut_unlocked = false;
-      ctx.drop_all();
-      result = true;
-      return true;
-    }
-#endif
-    prev->lock.upgrade_frozen();
-    if (height == 0) {
-      if (preserve) push_preimage(prev);
+    if (height == 0) {  // prevs[0] was write-locked before the reserve
+      if (preserve) push_preimage(prev, c);
       insert_at_top<DataNode, V>(as_data(prev), k, v, c, preserve);
       prev->mod_version.store(c, std::memory_order_release);
     } else {
+      prev->lock.upgrade_frozen();
       insert_at_top<IndexNode, NodeBase*>(as_index(prev), k, below);
     }
     prev->lock.release();
@@ -1978,8 +2008,8 @@ class SkipVectorMap {
         return true;
       }
 #endif
-      const std::uint64_t c = version_reserve();
-      if (snapshots_active()) push_preimage(t.node);
+      const auto [c, preserve] = version_reserve();
+      if (preserve) push_preimage(t.node, c);
       result = as_data(t.node)->vec.erase(k);
       if (result) {
         t.node->mod_version.store(c, std::memory_order_release);
@@ -2010,8 +2040,8 @@ class SkipVectorMap {
       curr->lock.release();
       curr = down;
     }
-    const std::uint64_t c = version_reserve();
-    if (snapshots_active()) push_preimage(curr);
+    const auto [c, preserve] = version_reserve();
+    if (preserve) push_preimage(curr, c);
     const bool erased = as_data(curr)->vec.erase(k);
     assert(erased);
     if (erased) curr->mod_version.store(c, std::memory_order_release);
@@ -2037,8 +2067,8 @@ class SkipVectorMap {
       note_retry(t.node);
       return false;
     }
-    const std::uint64_t c = version_reserve();
-    if (snapshots_active()) push_preimage(t.node);
+    const auto [c, preserve] = version_reserve();
+    if (preserve) push_preimage(t.node, c);
     result = as_data(t.node)->vec.assign(k, v);
     if (result) {
       t.node->mod_version.store(c, std::memory_order_release);
@@ -2232,10 +2262,9 @@ class SkipVectorMap {
     if (mutating) {
       // One commit version covers the whole locked range: the transform is
       // a single atomic state change to snapshot readers.
-      const std::uint64_t c = version_reserve();
-      const bool preserve = snapshots_active();
+      const auto [c, preserve] = version_reserve();
       for (NodeBase* n : locked) {
-        if (preserve) push_preimage(n);
+        if (preserve) push_preimage(n, c);
         visited += body(as_data(n));
         n->mod_version.store(c, std::memory_order_release);
       }
@@ -2274,23 +2303,62 @@ class SkipVectorMap {
 
   static constexpr std::size_t kMaxChainLength = 8;
 
-  // Reserve the next commit version. Callers hold the write locks of every
-  // chunk they will mutate BEFORE reserving, push pre-images after
-  // reserving and before the first mutation, and store mod_version = c
-  // before releasing. The reserve-then-check-registry order pairs with the
-  // registry's claim-then-load order (mvcc::SnapshotRegistry) so a writer
-  // never misses a reader it must preserve state for.
-  std::uint64_t version_reserve() noexcept {
-    return commit_version_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  // A commit's version and whether it must push pre-images.
+  struct Commit {
+    std::uint64_t version;
+    bool preserve;
+  };
+
+  // Decide a commit's version, once per commit. Callers hold the WRITE
+  // locks (a freeze is not enough) of every chunk they will stamp, push
+  // pre-images (when `preserve`) after this and before the first mutation,
+  // and store mod_version = version before releasing.
+  //
+  //  - No snapshot registered: stamp the current clock value and push
+  //    nothing. Single-key writers then write no shared cache line here.
+  //  - Otherwise bump the clock with a seq_cst RMW and check the registry
+  //    after the bump, which pairs with the registry's claim-then-load
+  //    order (mvcc::SnapshotRegistry) so a writer never misses a reader it
+  //    must preserve state for.
+  //
+  // Why stamping without a bump is sound (docs/SNAPSHOTS.md, "The commit
+  // clock"):
+  //  1. The writer holds its locks at the clock read. Lock acquisition is
+  //     seq_cst (sync/sequence_lock.h) and snapshot_at() ends with a
+  //     seq_cst fence, so a reader whose registration the check below
+  //     missed observes those locks and waits for their release: it never
+  //     reads this commit's chunks half-way, nor before the commit.
+  //  2. Unregistered path: the clock load precedes the registry load that
+  //     read "none", which precedes every registration it missed, which
+  //     precedes that reader's clock load. So the stamp c <= every later
+  //     pin, and such a reader resolves the chunk from its live state,
+  //     which includes the commit.
+  //  3. Bump path: c > m for every chunk stamped m before (m was read from
+  //     the clock before the lock handoff that precedes this RMW), so a
+  //     pushed pre-image at m is never shadowed by this commit's own state
+  //     at the same version.
+  Commit version_reserve() noexcept {
+    // The outer check only spares the bump path a load of the clock line
+    // it is about to write; the inner one, after the load, is the decision.
+    if (!snapshots_active()) {
+      const std::uint64_t now = commit_version_.load(std::memory_order_seq_cst);
+      if (!snapshots_active()) return {now, false};
+    }
+    const std::uint64_t c =
+        commit_version_.fetch_add(1, std::memory_order_seq_cst) + 1;
+    return {c, snapshots_active()};
   }
 
   bool snapshots_active() const noexcept { return snaps_.active() != 0; }
 
-  // Record the chunk's current live contents at its current mod_version
-  // (callers hold the chunk's write lock and have already reserved a newer
-  // commit version). No-op when that state is already the chain head.
-  void push_preimage(NodeBase* n) {
+  // Record the chunk's current live contents at its current mod_version m
+  // for the commit at version c (callers hold the chunk's write lock and
+  // got c from a bumping version_reserve, so m < c). No-op when that state
+  // is already the chain head.
+  void push_preimage(NodeBase* n, std::uint64_t c) {
     const std::uint64_t m = n->mod_version.load(std::memory_order_relaxed);
+    assert(m < c && "pre-image at the commit's own version");
+    (void)c;
     VRecord* head = n->vchain.load(std::memory_order_relaxed);
     if (head != nullptr && head->version == m) {
       maybe_prune(n);
@@ -2431,11 +2499,11 @@ class SkipVectorMap {
   // union of both histories from left's chain alone, so one union record
   // per distinct retained version replaces left's chain (the old one is
   // retired for in-flight walkers, as in fold_split).
-  void fold_merge(NodeBase* left, NodeBase* right) {
+  void fold_merge(NodeBase* left, NodeBase* right, std::uint64_t c) {
     SV_FAULT_POINT(debug::Point::kVersionFold);
     stats::count(stats::Counter::kVersionFolds);
-    push_preimage(right);  // right's live pre-merge state, at its version
-    push_preimage(left);   // left's live pre-merge state, at its version
+    push_preimage(right, c);  // right's live pre-merge state, at its version
+    push_preimage(left, c);   // left's live pre-merge state, at its version
     std::vector<VRecord*> lrecs, rrecs;  // newest first
     for (VRecord* r = left->vchain.load(std::memory_order_relaxed);
          r != nullptr; r = r->next.load(std::memory_order_relaxed)) {
@@ -2671,7 +2739,7 @@ class SkipVectorMap {
                        std::size_t begin, std::size_t end, std::uint64_t c,
                        bool preserve, std::vector<NodeBase*>& locked,
                        std::size_t& applied, std::int64_t& delta) {
-    if (preserve) push_preimage(chunk);
+    if (preserve) push_preimage(chunk, c);
     std::vector<NodeBase*> pieces{chunk};
     std::vector<K> mins{K{}};  // mins[0] unused (chunk covers leftward)
     std::size_t pi = 0;
@@ -2804,27 +2872,43 @@ class SkipVectorMap {
   }
 
   // ---- Members ----------------------------------------------------------------
+  //
+  // Grouped by who writes them (DESIGN.md §4, "Shared-state layout"). Every
+  // operation reads the first group; a write to any word on the same cache
+  // line would move that line between cores on every operation, so each
+  // written group starts on a line of its own and the read-mostly words
+  // share no line with it (shared_words() lists both sets for tests).
 
-  Config config_;
-  // alloc_ is declared before reclaimer_ on purpose: the reclaimer's
-  // destructor frees pending retirements *through* the allocator, so the
-  // allocator must be destroyed after it (reverse declaration order).
-  Alloc alloc_;
-  Reclaimer reclaimer_;
+  // Read-mostly: set at construction; the stats registry's words change
+  // only when a thread first attaches.
+  alignas(kCacheLineSize) Config config_;
   std::vector<NodeBase*> heads_;  // per layer, [0] = data
   NodeBase* head_ = nullptr;      // top-layer head (the paper's `head`)
-  std::atomic<std::int64_t> approx_size_{0};
-  mutable std::atomic<std::uint64_t> restarts_{0};
+  mutable stats::Registry stats_;
+  // alloc_ is declared before reclaimer_ on purpose: the reclaimer's
+  // destructor frees pending retirements *through* the allocator, so the
+  // allocator must be destroyed after it (reverse declaration order). The
+  // allocator's counters are written on every node allocation.
+  alignas(kCacheLineSize) Alloc alloc_;
+  // The hazard domain keeps its lookup serial and its scan-written words on
+  // separate lines itself (reclaim/hazard_pointers.h).
+  alignas(kCacheLineSize) Reclaimer reclaimer_;
+
+  // Written by every successful insert/remove and batch: one stripe per
+  // thread (common/striped_counter.h).
+  StripedCounter approx_size_;
+  // Rare-event counters (restarts, structural events).
+  alignas(kCacheLineSize) mutable std::atomic<std::uint64_t> restarts_{0};
   mutable std::atomic<std::uint64_t> orphan_merges_{0};
   mutable std::atomic<std::uint64_t> capacity_splits_{0};
   mutable std::atomic<std::uint64_t> tower_splits_{0};
-  mutable stats::Registry stats_;
 
-  // Multiversioning (docs/SNAPSHOTS.md): the global commit version every
-  // committed mutation bumps, and the registry of pinned snapshot versions
-  // writers consult before discarding pre-images.
-  std::atomic<std::uint64_t> commit_version_{0};
-  mvcc::SnapshotRegistry snaps_;
+  // Multiversioning (docs/SNAPSHOTS.md): the global commit version, bumped
+  // by commits while a snapshot is registered (version_reserve), and the
+  // registry of pinned snapshot versions writers consult before discarding
+  // pre-images. Each starts on a line of its own.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> commit_version_{0};
+  alignas(kCacheLineSize) mvcc::SnapshotRegistry snaps_;
 };
 
 // Convenience aliases matching the paper's evaluated variants. Chunk

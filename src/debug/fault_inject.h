@@ -50,6 +50,8 @@ enum class Point : std::uint8_t {
                     // commit version and apply staged ops
   kVersionFold,     // split/merge: version chains about to be folded across
                     // the new chunk boundary (locks held)
+  kInsertCommit,    // insert_write_phase: k checked absent, data chunk frozen
+                    // by us but not yet write-locked; no version reserved
   kCount
 };
 
@@ -68,6 +70,7 @@ inline const char* point_name(Point p) noexcept {
     case Point::kMutEarlyRelease: return "mut-early-release";
     case Point::kBatchCommit: return "batch-commit";
     case Point::kVersionFold: return "version-fold";
+    case Point::kInsertCommit: return "insert-commit";
     default: return "?";
   }
 }

@@ -122,6 +122,19 @@ class HazardDomain {
   // Force a full scan from this thread (reclaims whatever is unprotected).
   void flush();
 
+  // Address ranges of the domain's read-mostly words and of the words its
+  // scans write (tests check that the two share no cache line).
+  void shared_words(std::vector<WordSpan>& read_mostly,
+                    std::vector<WordSpan>& written) const {
+    read_mostly.push_back({&head_, sizeof(head_)});
+    read_mostly.push_back({&rec_count_, sizeof(rec_count_)});
+    read_mostly.push_back({&serial_, sizeof(serial_)});
+    written.push_back({&retired_estimate_, sizeof(retired_estimate_)});
+    written.push_back({&reclaimed_, sizeof(reclaimed_)});
+    written.push_back({&orphan_mu_, sizeof(orphan_mu_)});
+    written.push_back({&orphans_, sizeof(orphans_)});
+  }
+
  private:
   friend class ThreadCtx;
 
@@ -137,15 +150,20 @@ class HazardDomain {
   void release_rec(ThreadRec* rec);  // called from thread-exit hook
   void scan(ThreadRec& rec);
 
+  // Read-mostly: every thread_ctx() compares serial_, every retire() reads
+  // rec_count_; both change only when a thread attaches. They get a cache
+  // line of their own so that scans, which write the group below, do not
+  // invalidate the line every operation reads.
   std::atomic<ThreadRec*> head_{nullptr};
   std::atomic<std::size_t> rec_count_{0};
-  std::atomic<std::size_t> retired_estimate_{0};
+  const std::uint64_t serial_;
+  // Written by every scan.
+  alignas(kCacheLineSize) std::atomic<std::size_t> retired_estimate_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
   // Retirements orphaned by exited threads; drained by the next scan.
   // Guarded by orphan_mu_ (a tiny spinlock; not on the hot path).
   std::atomic_flag orphan_mu_ = ATOMIC_FLAG_INIT;
   std::vector<ThreadRec::Retired> orphans_;
-  const std::uint64_t serial_;
 
   static std::uint64_t next_serial();
   struct TlsCache;

@@ -35,6 +35,7 @@ class HazardReclaimer {
   using ThreadCtx = HazardDomain::ThreadCtx;
   ThreadCtx thread_ctx() { return domain_.thread_ctx(); }
   HazardDomain& domain() { return domain_; }
+  const HazardDomain& domain() const { return domain_; }
 
  private:
   HazardDomain domain_;

@@ -4,9 +4,10 @@
 // throughput delta requires visibility into the structural events behind it
 // (splits, lazy orphan merges, seqlock retries, HP scans -- the same
 // internals Jiffy and the B-skiplist line of work instrument). Every counter
-// here is a per-thread, cache-line-padded relaxed atomic, so the hot path
-// pays one TLS read plus one uncontended fetch_add; aggregation happens only
-// when a snapshot is requested.
+// here is a per-thread, cache-line-padded relaxed atomic with exactly one
+// writer, so the hot path pays one TLS read plus a single-writer add (a
+// relaxed load and store, no locked read-modify-write); aggregation happens
+// only when a snapshot is requested.
 //
 // Architecture:
 //   * Registry     -- one per instrumented component instance (a map, a
@@ -242,9 +243,14 @@ class Registry {
     std::array<std::atomic<std::uint64_t>, kCounterCount> c{};
     Block* next = nullptr;  // intrusive list, append-only
 
+    // Single-writer add: only the owning thread stores to its block (Scope
+    // installs the caller's own block), so a relaxed load plus store cannot
+    // lose an update and needs no locked fetch_add. Concurrent snapshot()
+    // readers see either value, never a torn one.
     void add(Counter ctr, std::uint64_t n) noexcept {
-      c[static_cast<std::size_t>(ctr)].fetch_add(n,
-                                                 std::memory_order_relaxed);
+      auto& slot = c[static_cast<std::size_t>(ctr)];
+      slot.store(slot.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
     }
   };
 

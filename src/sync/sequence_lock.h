@@ -18,6 +18,14 @@
 // the acquire fence in validate()); reader-side, validate() issues an
 // acquire fence before re-reading the word.
 //
+// Taking the write lock (try_upgrade, acquire, upgrade_frozen) is a seq_cst
+// operation. The skip vector's commit clock relies on it: a writer that
+// stamps its chunks without bumping the clock must hold their locks before
+// it checks the snapshot registry, in the single seq_cst order, so that a
+// snapshot registered after that check sees the locks (core/skip_vector.h,
+// version_reserve). On x86-64 the locked CAS is the same instruction either
+// way; upgrade_frozen's store becomes an xchg.
+//
 // The freeze protocol (paper §III-B): tryFreeze puts a node into a state
 // where only the freezing thread may later lock it (upgrade_frozen) or
 // return it to normal (thaw), while concurrent readers proceed. Freezing and
@@ -99,7 +107,7 @@ class SequenceLock {
   [[nodiscard]] bool try_upgrade(Word observed) noexcept {
     if (is_locked(observed) || is_frozen(observed)) return false;
     if (!word_.compare_exchange_strong(observed, observed | kLockedBit,
-                                       std::memory_order_acquire,
+                                       std::memory_order_seq_cst,
                                        std::memory_order_relaxed)) {
       return false;
     }
@@ -127,10 +135,11 @@ class SequenceLock {
 
   // Owner-only: frozen -> locked ("move node from frozen to locked",
   // Listing 3). While frozen, no other thread can modify the word, so a
-  // plain store suffices.
+  // store suffices; it is seq_cst like every lock acquisition (see the
+  // header comment).
   void upgrade_frozen() noexcept {
     const Word w = word_.load(std::memory_order_relaxed);
-    word_.store((w & ~kFrozenBit) | kLockedBit, std::memory_order_relaxed);
+    word_.store((w & ~kFrozenBit) | kLockedBit, std::memory_order_seq_cst);
     writer_entry_fence();
   }
 
@@ -143,7 +152,7 @@ class SequenceLock {
       Word w = word_.load(std::memory_order_relaxed);
       if (!is_locked(w) && !is_frozen(w)) {
         if (word_.compare_exchange_weak(w, w | kLockedBit,
-                                        std::memory_order_acquire,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
           writer_entry_fence();
           return;

@@ -318,8 +318,7 @@ struct MapAccess {
 
   // ---- Commit-path map primitives ----------------------------------------
 
-  static std::uint64_t version_reserve(Map& m) { return m.version_reserve(); }
-  static bool snapshots_active(Map& m) { return m.snapshots_active(); }
+  static auto version_reserve(Map& m) { return m.version_reserve(); }
   static void apply_chunk_ops(Map& m, Node* chunk, Op* ops,
                               const std::vector<std::uint32_t>& order,
                               std::size_t begin, std::size_t end,
@@ -342,7 +341,7 @@ struct MapAccess {
     m.restarts_.fetch_add(1, std::memory_order_relaxed);
   }
   static void note_size_delta(Map& m, std::int64_t delta) noexcept {
-    if (delta != 0) m.approx_size_.fetch_add(delta, std::memory_order_relaxed);
+    if (delta != 0) m.approx_size_.add(delta);
   }
 };
 
@@ -558,8 +557,7 @@ struct LockMgr {
     // pre-imaged: their contents do not change.
     if (n_ops > 0) {
       SV_FAULT_POINT(debug::Point::kBatchCommit);
-      const std::uint64_t c = MA::version_reserve(m);
-      const bool preserve = MA::snapshots_active(m);
+      const auto [c, preserve] = MA::version_reserve(m);
       const std::size_t n_chunks = runs.size();  // splits append past this
       for (std::size_t ci = 0; ci < n_chunks; ++ci) {
         if (runs[ci].first == kNoRun) continue;

@@ -269,6 +269,30 @@ TEST(PoolNodeAllocator, JumboClassGetsDedicatedArenaSpace) {
   EXPECT_EQ(pool.stats().oversize_allocs, 0u);
 }
 
+// With huge_pages, every arena is 2 MiB-aligned and a whole multiple of
+// 2 MiB, so each of its 2 MiB ranges can be backed by one THP. (Whether
+// the kernel does depends on the host's THP mode, so that is not tested.)
+TEST(PoolNodeAllocator, HugePageArenasAreHugePageAligned) {
+  PoolOptions opt;
+  opt.huge_pages = true;
+  opt.arena_bytes = 3u << 20;  // rounds up to 4 MiB
+  Pool pool(opt);
+  std::vector<void*> blocks;
+  for (int i = 0; i < 4000; ++i) blocks.push_back(pool.allocate(1144));
+  void* jumbo = pool.allocate(256u << 10);
+  const auto arenas = pool.arena_spans();
+  ASSERT_GE(arenas.size(), 2u);  // 4.6 MB of 1152 B blocks
+  for (const auto& [base, bytes] : arenas) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % Pool::kHugePageBytes,
+              0u);
+    EXPECT_EQ(bytes % Pool::kHugePageBytes, 0u);
+    EXPECT_GE(bytes, opt.arena_bytes);
+  }
+  pool.deallocate(jumbo, 256u << 10);
+  for (void* p : blocks) pool.deallocate(p, 1144);
+  EXPECT_EQ(pool.stats().live_bytes, 0u);
+}
+
 TEST(PoolNodeAllocator, CrossThreadAllocHereFreeThere) {
   // Producer threads allocate, consumer threads free: blocks migrate
   // between thread magazines through the depot. This is the schedule the
@@ -285,9 +309,9 @@ TEST(PoolNodeAllocator, CrossThreadAllocHereFreeThere) {
   std::deque<void*> queue;
   std::atomic<int> produced{0};
 
-  std::vector<std::thread> threads;
+  std::vector<std::thread> producers, consumers;
   for (int t = 0; t < kProducers; ++t) {
-    threads.emplace_back([&, t] {
+    producers.emplace_back([&, t] {
       sv::Xoshiro256 rng(t + 1);
       for (int i = 0; i < kPerProducer; ++i) {
         void* p = pool.allocate(kBytes);
@@ -302,7 +326,7 @@ TEST(PoolNodeAllocator, CrossThreadAllocHereFreeThere) {
     });
   }
   for (int t = 0; t < kConsumers; ++t) {
-    threads.emplace_back([&] {
+    consumers.emplace_back([&] {
       for (;;) {
         void* p = nullptr;
         {
@@ -319,8 +343,14 @@ TEST(PoolNodeAllocator, CrossThreadAllocHereFreeThere) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  for (auto& th : producers) th.join();
+  // Consumers that waited before the last item's notify_one went to
+  // another consumer must still see `produced` reach the total. Taking mu
+  // first means each consumer is either waiting (and woken here) or has
+  // not yet checked the predicate, which is now true.
+  { std::lock_guard<std::mutex> lk(mu); }
   cv.notify_all();
+  for (auto& th : consumers) th.join();
   EXPECT_TRUE(queue.empty());
   const AllocatorStats s = pool.stats();
   EXPECT_EQ(s.live_bytes, 0u);

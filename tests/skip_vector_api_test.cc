@@ -9,8 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/hw.h"
 #include "common/rng.h"
+#include "common/striped_counter.h"
 #include "core/skip_vector.h"
+#include "reclaim/hazard_pointers.h"
 
 namespace sv::core {
 namespace {
@@ -308,6 +311,66 @@ TEST(RangeEdges, TransformReturnsVisitCount) {
     }
   });
   EXPECT_EQ(touched, 50u);
+}
+
+// ---- Shared-state layout ----------------------------------------------------
+
+// Every operation reads the map's read-mostly words (config, heads, the
+// stats registry's and hazard domain's lookup serials); none may share a
+// cache line with a word that hot paths write (size stripes, counters, the
+// commit clock, the snapshot registry, the allocator, hazard-scan state).
+template <class M>
+void ExpectReadMostlyWordsIsolated() {
+  M m(Tiny());
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&m, t] {
+      for (std::uint64_t k = t; k < 400; k += 4) m.insert(k, k);
+      for (std::uint64_t k = t; k < 400; k += 8) m.remove(k);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::vector<WordSpan> read_mostly, written;
+  m.shared_words(read_mostly, written);
+  ASSERT_GE(read_mostly.size(), 4u);
+  ASSERT_GE(written.size(), 8u);
+  for (const WordSpan& r : read_mostly) {
+    for (const WordSpan& w : written) {
+      EXPECT_FALSE(shares_line(r, w))
+          << "read-mostly word at " << r.addr << " (+" << r.bytes
+          << ") shares a line with written word at " << w.addr << " (+"
+          << w.bytes << ")";
+    }
+  }
+}
+
+TEST(SharedLayout, ReadMostlyWordsShareNoLineWithWrittenOnes) {
+  ExpectReadMostlyWordsIsolated<Map>();
+  ExpectReadMostlyWordsIsolated<SkipVectorPool<std::uint64_t, std::uint64_t>>();
+  // Leak reclaimer on the pool: the pool frees every leaked node at exit.
+  ExpectReadMostlyWordsIsolated<
+      SkipVectorPoolLeak<std::uint64_t, std::uint64_t>>();
+}
+
+TEST(SharedLayout, HazardDomainSeparatesLookupSerialFromScanState) {
+  reclaim::HazardDomain d;
+  std::vector<WordSpan> read_mostly, written;
+  d.shared_words(read_mostly, written);
+  ASSERT_EQ(read_mostly.size(), 3u);
+  ASSERT_EQ(written.size(), 4u);
+  for (const WordSpan& r : read_mostly) {
+    for (const WordSpan& w : written) EXPECT_FALSE(shares_line(r, w));
+  }
+}
+
+// Each stripe owns an aligned pair of cache lines (adjacent-line
+// prefetchers move lines in pairs).
+TEST(SharedLayout, SizeStripesShareNoLinePair) {
+  StripedCounter c;
+  constexpr std::size_t kPair = 2 * kCacheLineSize;
+  EXPECT_EQ(c.span().bytes, StripedCounter::kStripes * kPair);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.span().addr) % kPair, 0u);
 }
 
 }  // namespace

@@ -97,6 +97,36 @@ TEST(SkipVectorConcurrent, MixedOpsTaggedValues) {
   EXPECT_EQ(n, m.size_approx());
 }
 
+// size_approx() sums per-thread stripes; with no operation in flight it
+// must equal the number of mappings exactly, whichever threads added and
+// removed them (here: 4 threads, overlapping keys, splits and merges).
+TEST(SkipVectorConcurrent, SizeIsExactAfterConcurrentInsertRemove) {
+  MapHP m(SmallChunks());
+  constexpr std::uint64_t kRange = 2048;
+  std::atomic<std::int64_t> net{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(500 + t);
+      std::int64_t mine = 0;
+      for (int i = 0; i < 40000; ++i) {
+        const std::uint64_t k = rng.next_below(kRange);
+        if (rng.next_below(3) != 0) {
+          mine += m.insert(k, TagFor(k, i)) ? 1 : 0;
+        } else {
+          mine -= m.remove(k) ? 1 : 0;
+        }
+      }
+      net.fetch_add(mine);
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::size_t present = 0;
+  m.for_each([&](std::uint64_t, std::uint64_t) { ++present; });
+  EXPECT_EQ(static_cast<std::int64_t>(present), net.load());
+  EXPECT_EQ(m.size_approx(), present);
+}
+
 TEST(SkipVectorConcurrent, DisjointPartitionsMatchPerThreadOracles) {
   // Each thread owns a disjoint key partition and maintains a private
   // oracle; concurrent activity in other partitions must not disturb it.

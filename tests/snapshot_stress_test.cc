@@ -12,19 +12,25 @@
 //      merge after the pin are invisible.
 //   3. Batch atomicity: apply_batch flips a batch-wide invariant in one
 //      step; no snapshot, at any version, observes a mixed state.
+//   4. The commit clock: writers bump it only while a snapshot is
+//      registered, and a view pinned at any moment of an insert's commit
+//      reads the same state every time it looks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
+#include "debug/fault_inject.h"
 #include "stats/stats.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -370,6 +376,124 @@ TYPED_TEST(SnapshotStressTest, RegistryFullFallsBackUnversioned) {
   held.clear();       // releases every slot
   auto again = m.snapshot_at();
   EXPECT_TRUE(again.versioned());
+}
+
+// Every (key, value) the view holds in [lo, hi], in key order.
+template <class Map>
+std::vector<std::pair<std::uint64_t, std::uint64_t>> ReadAt(
+    Map& m, const typename Map::SnapshotView& view, std::uint64_t lo,
+    std::uint64_t hi) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  m.range_for_each_at(view, lo, hi, [&](std::uint64_t k, std::uint64_t v) {
+    out.emplace_back(k, v);
+  });
+  return out;
+}
+
+// An insert's commit window: the data chunk is frozen by the inserter but
+// not yet write-locked, so readers still read it. A view pinned inside the
+// window must not see the chunk first without k and then, once the insert
+// releases, with k stamped at or below its pin: the insert must reserve
+// its version only after write-locking the chunk. Deterministic: the
+// inserter is parked at the insert-commit point while the view is pinned
+// and read.
+TYPED_TEST(SnapshotStressTest, PinInsideInsertCommitWindowReadsOneState) {
+  using debug::FaultInjector;
+  using debug::Point;
+  typename TestFixture::Map m(TestFixture::Cfg());
+  for (std::uint64_t k : {10, 20, 30}) ASSERT_TRUE(m.insert(k, k << 8));
+
+  std::atomic<bool> parked{false};
+  std::atomic<bool> resume{false};
+  FaultInjector::instance().set_handler([&](Point p, std::uint64_t) {
+    if (p != Point::kInsertCommit || parked.load()) return;
+    parked.store(true);
+    while (!resume.load()) std::this_thread::yield();
+  });
+  std::thread inserter([&] {
+    ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+    EXPECT_TRUE(m.insert_with_height(25, 25 << 8, 0));
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  {
+    auto view = m.snapshot_at();
+    EXPECT_TRUE(view.versioned());  // no ASSERT: the inserter must be joined
+    const auto before = ReadAt(m, view, 0, 100);
+    resume.store(true);
+    inserter.join();
+    const auto after = ReadAt(m, view, 0, 100);
+    EXPECT_EQ(before, after) << "one pinned view read two states";
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected{
+        {10, 10 << 8}, {20, 20 << 8}, {30, 30 << 8}};
+    EXPECT_EQ(after, expected);
+  }
+  FaultInjector::instance().clear();
+  EXPECT_EQ(m.lookup(25), std::optional<std::uint64_t>(25 << 8));
+}
+
+// While no snapshot is registered, commits stamp the current clock value
+// instead of bumping it; once one is, every commit bumps it.
+TYPED_TEST(SnapshotStressTest, ClockMovesOnlyWhileASnapshotIsPinned) {
+  typename TestFixture::Map m(TestFixture::Cfg());
+  const std::uint64_t v0 = m.commit_version();
+  // Enough churn for splits (and the merges removes leave behind).
+  for (std::uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(m.insert(k, k));
+  for (std::uint64_t k = 0; k < 64; k += 2) ASSERT_TRUE(m.update(k, k + 1));
+  for (std::uint64_t k = 0; k < 64; k += 3) ASSERT_TRUE(m.remove(k));
+  EXPECT_FALSE(m.remove(1000));
+  EXPECT_GT(m.counters().capacity_splits + m.counters().tower_splits, 0u);
+  EXPECT_EQ(m.commit_version(), v0);
+
+  {
+    auto view = m.snapshot_at();
+    ASSERT_TRUE(view.versioned());
+    ASSERT_TRUE(m.insert(1000, 1));
+    const std::uint64_t v1 = m.commit_version();
+    EXPECT_GT(v1, v0);
+    ASSERT_TRUE(m.update(1000, 2));
+    EXPECT_GT(m.commit_version(), v1);
+  }
+  const std::uint64_t v2 = m.commit_version();
+  ASSERT_TRUE(m.remove(1000));
+  ASSERT_TRUE(m.insert(1001, 1));
+  EXPECT_EQ(m.commit_version(), v2);
+}
+
+// Writes in an unregistered period share one stamp. A view pinned between
+// two writes holds the first only; a view pinned after several holds them
+// all, through later overwrites, removes and splits of their chunks.
+TYPED_TEST(SnapshotStressTest, ViewsAroundUnregisteredWritesResolveThem) {
+  using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  typename TestFixture::Map m(TestFixture::Cfg());
+  for (std::uint64_t k = 0; k < 40; k += 4) ASSERT_TRUE(m.insert(k, k));
+
+  ASSERT_TRUE(m.insert(1, 100));
+  {
+    auto between = m.snapshot_at();
+    ASSERT_TRUE(between.versioned());
+    ASSERT_TRUE(m.insert(21, 200));
+    EXPECT_EQ(ReadAt(m, between, 0, 4), (Pairs{{0, 0}, {1, 100}, {4, 4}}));
+    EXPECT_EQ(ReadAt(m, between, 20, 24), (Pairs{{20, 20}, {24, 24}}));
+  }
+
+  const std::uint64_t stamp = m.commit_version();
+  ASSERT_TRUE(m.update(1, 101));   // unregistered period again: all three
+  ASSERT_TRUE(m.insert(3, 300));   // writes, on different chunks, carry
+  ASSERT_TRUE(m.update(21, 201));  // the same stamp
+  ASSERT_EQ(m.commit_version(), stamp);
+  auto after = m.snapshot_at();
+  ASSERT_TRUE(after.versioned());
+  const Pairs pinned = ReadAt(m, after, 0, 100);
+  ASSERT_EQ(pinned.size(), 13u);
+  EXPECT_EQ(ReadAt(m, after, 0, 4),
+            (Pairs{{0, 0}, {1, 101}, {3, 300}, {4, 4}}));
+
+  ASSERT_TRUE(m.update(1, 102));
+  ASSERT_TRUE(m.remove(3));
+  ASSERT_TRUE(m.remove(21));
+  for (std::uint64_t k = 2; k < 40; k += 4) ASSERT_TRUE(m.insert(k, k));
+  EXPECT_EQ(ReadAt(m, after, 0, 100), pinned);
 }
 
 }  // namespace
