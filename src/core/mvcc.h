@@ -7,10 +7,10 @@
 // that is sound), each data chunk remembers the commit version at which its
 // current contents became valid (`mod_version`), and -- only while a
 // snapshot is registered -- writers push immutable pre-image records onto a
-// short per-chunk version chain before overwriting the live state. Snapshot readers pinned at version v resolve each chunk either from
-// its live state (mod_version <= v, one speculative read) or from the newest
-// chain record with version <= v, and therefore never restart against
-// writers.
+// short per-chunk version chain before overwriting the live state. Snapshot
+// readers pinned at version v resolve each chunk either from its live state
+// (mod_version <= v, one speculative read) or from the newest chain record
+// with version <= v, and therefore never restart against writers.
 //
 // This header holds the map-independent pieces: the batch-op descriptor, the
 // trailing-array version record, and the snapshot registry that pins active
